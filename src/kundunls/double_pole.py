@@ -6,17 +6,14 @@ z), not the typeset block formulas, whose hats are inconsistent; the
 determinant form exists only as a cross-check.
 """
 
-import warnings
 from dataclasses import dataclass
+from functools import partial
 
-from . import _mathctx
-from .errors import DegenerateZero, NearSingularWarning, SingularMatrix
-from .linalg import DenseComplexMatrix, cond_estimate, det, lu_factor
-from .simple_pole import _log_weights
-from .spectrum import SIGN_CONVENTIONS, OrbitTable, SpectralConfig
+from . import _mathctx, reconstruct
+from .errors import DegenerateZero
+from .linalg import DenseComplexMatrix, lu_factor
+from .spectrum import OrbitTable
 from .uniformization import SpectralPoint, theta_prime
-
-COND_WARN_THRESHOLD = 1e8
 
 
 @dataclass
@@ -53,19 +50,17 @@ def _d_hats(orbit: OrbitTable, x, t, ctx):
     ]
 
 
-def _build(orbit: OrbitTable, x, t, ctx, scaled):
-    """Rows/rhs of the block system; columns optionally log-rescaled."""
+def build(orbit: OrbitTable, x, t, ctx, scaled=True):
+    """Rows and rhs of the block system, and r = (w D_hat, w).
+
+    Columns are optionally log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n
+    + D_hat_n mu_n), which is q_minus - s i r^T y.
+    """
     qm = ctx.convert(orbit.q_minus)
     q0sq = orbit.Q0 ** 2
     xi, xih = orbit.xi, orbit.xi_hat
     n = len(xi)
-    logw = _log_weights(orbit, x, t, ctx)
-    if scaled:
-        shifts = [max(_mathctx.real_of(lw), 0.0) for lw in logw]
-    else:
-        shifts = [0.0] * n
-    wsc = [ctx.exp(lw - m) for lw, m in zip(logw, shifts)]
-    csc = [ctx.exp(ctx.convert(-m)) for m in shifts]
+    wsc, csc = reconstruct.column_weights(orbit, x, t, ctx, scaled)
     dh = _d_hats(orbit, x, t, ctx)
 
     rows = []
@@ -92,13 +87,14 @@ def _build(orbit: OrbitTable, x, t, ctx, scaled):
             row_mup.append(c / d + (ctx.i * q0sq * qm / xi[s] ** 3) * csc[j] * (s == j))
         rows.append(row_mu + row_mup)
         rhs.append(-ctx.i * qm / xi[s] ** 2)
-    return rows, rhs, wsc, csc, dh
+    return rows, rhs, [wj * dj for wj, dj in zip(wsc, dh)] + wsc
 
 
 def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> DoublePoleSystem:
     """Literal (unscaled) block system; valid while the weights are representable."""
-    rows, rhs, w, _, dh = _build(orbit, x, t, ctx, scaled=False)
-    return DoublePoleSystem(DenseComplexMatrix.from_rows(rows), rhs, w, dh)
+    rows, rhs, r = build(orbit, x, t, ctx, scaled=False)
+    return DoublePoleSystem(DenseComplexMatrix.from_rows(rows), rhs,
+                            r[len(orbit.xi):], _d_hats(orbit, x, t, ctx))
 
 
 def solve_system(system: DoublePoleSystem) -> list:
@@ -106,75 +102,7 @@ def solve_system(system: DoublePoleSystem) -> list:
     return system.unknowns
 
 
-def _evaluate(orbit: OrbitTable, x, t, ctx, want_cond):
-    qm = ctx.convert(orbit.q_minus)
-    n = len(orbit.xi)
-    if n == 0:
-        return qm, 1.0
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
-    rows, rhs, wsc, _, dh = _build(orbit, x, t, ctx, scaled=True)
-    H = DenseComplexMatrix.from_rows(rows, check_finite=False)
-    fac = lu_factor(H)
-    y = fac.solve(rhs)
-    mu, mup = y[:n], y[n:]
-    q = qm - rec_sign * ctx.i * sum(
-        wj * (mpj + dj * mj) for wj, mpj, dj, mj in zip(wsc, mup, dh, mu)
-    )
-    cond = cond_estimate(H, fac) if want_cond else None
-    return q, cond
-
-
-def evaluate_q_det(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):
-    """Bordered-determinant form of the reconstruction.
-
-    The border row pairs each mu column with w_n D_n and each mu' column
-    with w_n, so det(bordered)/det(H) = r^T H^{-1} rhs with r the
-    reconstruction weights; column scales cancel between the determinants.
-    """
-    qm = ctx.convert(orbit.q_minus)
-    n = len(orbit.xi)
-    if n == 0:
-        return qm
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
-    rows, rhs, wsc, _, dh = _build(orbit, x, t, ctx, scaled=True)
-    border = [wj * dj for wj, dj in zip(wsc, dh)] + list(wsc)
-    bordered = [row + [rhs[s]] for s, row in enumerate(rows)]
-    bordered.append(border + [ctx.convert(0)])
-    num = det(DenseComplexMatrix.from_rows(bordered, check_finite=False))
-    den = det(DenseComplexMatrix.from_rows(rows, check_finite=False))
-    # r^T y = -det(bordered)/det(H)
-    return qm + rec_sign * ctx.i * (num / den)
-
-
-def evaluate_q(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
-               check_condition=True):
-    try:
-        q, cond = _evaluate(orbit, x, t, ctx, check_condition)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"singular system at (x={x}, t={t}): {exc}") from exc
-    if check_condition and cond is not None and cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"condition estimate {cond:.2e} at (x={x}, t={t})", NearSingularWarning
-        )
-    return q
-
-
-def evaluate_u(cfg: SpectralConfig, orbit: OrbitTable, x: float, t: float,
-               ctx=_mathctx.FLOAT):
-    q = evaluate_q(orbit, x, t, ctx)
-    return q * ctx.exp(-ctx.i * ctx.convert(cfg.gamma0)) / cfg.epsilon
-
-
-def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts, threads: int = 1):
-    from . import fields
-
-    return fields.evaluate_grid(cfg, orbit, xs, ts, threads=threads)
-
-
-def point_sample(orbit: OrbitTable, x: float, t: float):
-    try:
-        q, cond = _evaluate(orbit, x, t, _mathctx.FLOAT, True)
-    except SingularMatrix:
-        return complex("nan+nanj"), "singular", float("inf")
-    flag = "near_singular" if cond is not None and cond > COND_WARN_THRESHOLD else "ok"
-    return q, flag, cond
+evaluate_q = partial(reconstruct.evaluate_q, build)
+evaluate_q_det = partial(reconstruct.evaluate_q_det, build)
+evaluate_u = partial(reconstruct.evaluate_u, build)
+point_sample = partial(reconstruct.point_sample, build)

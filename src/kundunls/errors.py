@@ -61,7 +61,7 @@ class ConfigValidationError(KunduNLSError):
 
 
 class NearSingularWarning(UserWarning):
-    """Linear system condition estimate exceeded the warning threshold."""
+    """Linear system condition number exceeded the warning threshold."""
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,25 @@ def _as_complex(value, where: str) -> complex:
             or not all(isinstance(v, (int, float)) for v in value)):
         raise ConfigValidationError([Diagnostic(
             "BadComplex", f"{where} must be a [re, im] pair, got {value!r}")])
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ConfigValidationError([Diagnostic(
+            "NonFiniteValue", f"{where} overflows a double")]) from None
+
+
+def _as_real(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigValidationError([Diagnostic(
+            "BadNumber", f"{where} must be a number, got {value!r}")]) from None
+
+
+def _require(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigValidationError([Diagnostic("MissingKey", f"{where} is missing")])
+    return obj[key]
 
 
 def preset_dir():
@@ -69,6 +87,9 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(exc), line=exc.lineno, column=exc.colno) from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigValidationError([Diagnostic(
+            "ConfigShape", "config must be a JSON object")])
     problems = []
     if raw.get("schema") != SCHEMA_VERSION:
         problems.append(Diagnostic(
@@ -84,18 +105,24 @@ def load_config(path) -> RunConfig:
     if problems:
         raise ConfigValidationError(problems)
 
+    entries = raw.get("eigenvalues", [])
+    if (not isinstance(entries, list)
+            or not all(isinstance(entry, dict) for entry in entries)):
+        raise ConfigValidationError([Diagnostic(
+            "BadEigenvalues", f"eigenvalues must be a list of objects, got {entries!r}")])
     eigenvalues = []
-    for i, entry in enumerate(raw.get("eigenvalues", [])):
+    for i, entry in enumerate(entries):
+        where = f"eigenvalues[{i}]"
         eigenvalues.append(EigenEntry(
-            z=_as_complex(entry["z"], f"eigenvalues[{i}].z"),
-            A_plus=_as_complex(entry["A_plus"], f"eigenvalues[{i}].A_plus"),
-            B_plus=_as_complex(entry.get("B_plus", [0, 0]),
-                               f"eigenvalues[{i}].B_plus"),
+            z=_as_complex(_require(entry, "z", f"{where}.z"), f"{where}.z"),
+            A_plus=_as_complex(_require(entry, "A_plus", f"{where}.A_plus"),
+                               f"{where}.A_plus"),
+            B_plus=_as_complex(entry.get("B_plus", [0, 0]), f"{where}.B_plus"),
         ))
     cfg = SpectralConfig(
-        q_minus=_as_complex(raw["q_minus"], "q_minus"),
-        epsilon=float(raw["epsilon"]),
-        gamma0=float(raw.get("gamma0", 0.0)),
+        q_minus=_as_complex(_require(raw, "q_minus", "q_minus"), "q_minus"),
+        epsilon=_as_real(_require(raw, "epsilon", "epsilon"), "epsilon"),
+        gamma0=_as_real(raw.get("gamma0", 0.0), "gamma0"),
         pole_order=order,
         eigenvalues=tuple(eigenvalues),
     )
@@ -104,6 +131,8 @@ def load_config(path) -> RunConfig:
         raise ConfigValidationError(diags)
 
     grid = raw.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigValidationError([Diagnostic("GridSpec", "grid must be an object")])
     for key in ("x_min", "x_max", "nx", "t_min", "t_max", "nt"):
         if key not in grid:
             raise ConfigValidationError([Diagnostic(

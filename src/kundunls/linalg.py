@@ -7,7 +7,7 @@ to reach past plain Python here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NonSquareMatrix, SingularMatrix
 
@@ -51,24 +51,8 @@ class DenseComplexMatrix:
         if self.rows != self.cols:
             raise NonSquareMatrix(f"{self.rows}x{self.cols} matrix is not square")
 
-    def row(self, i):
-        return list(self.entries[i])
-
     def matvec(self, x):
         return [sum(r[j] * x[j] for j in range(self.cols)) for r in self.entries]
-
-    def transpose(self):
-        return DenseComplexMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            )
-
-    def conj_transpose(self):
-        return DenseComplexMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j].conjugate() for i in range(self.rows)]
-             for j in range(self.cols)],
-            )
 
     def norm_1(self):
         return max(
@@ -89,7 +73,6 @@ class LUFactorization:
     lu: list
     perm: list
     perm_sign: int
-    swaps: int = field(default=0)
 
     def solve(self, b):
         n = self.n
@@ -123,7 +106,6 @@ def lu_factor(A: DenseComplexMatrix) -> LUFactorization:
     lu = [list(r) for r in A.entries]
     perm = list(range(n))
     sign = 1
-    swaps = 0
     for k in range(n):
         piv, pmag = k, float(abs(lu[k][k]))
         for i in range(k + 1, n):
@@ -136,7 +118,6 @@ def lu_factor(A: DenseComplexMatrix) -> LUFactorization:
             lu[k], lu[piv] = lu[piv], lu[k]
             perm[k], perm[piv] = perm[piv], perm[k]
             sign = -sign
-            swaps += 1
         prow = lu[k]
         pval = prow[k]
         for i in range(k + 1, n):
@@ -146,7 +127,7 @@ def lu_factor(A: DenseComplexMatrix) -> LUFactorization:
             if f != 0:
                 for j in range(k + 1, n):
                     row[j] = row[j] - f * prow[j]
-    return LUFactorization(n, lu, perm, sign, swaps)
+    return LUFactorization(n, lu, perm, sign)
 
 
 def lu_solve(A: DenseComplexMatrix, b):
@@ -164,39 +145,19 @@ def det(A: DenseComplexMatrix):
 
 
 def cond_estimate(A: DenseComplexMatrix, factorization=None) -> float:
-    """1-norm condition estimate via Hager-style power iteration on A^-1.
+    """Exact 1-norm condition number ||A||_1 max_j ||A^-1 e_j||_1.
 
-    Costs a handful of solves with A and A^H; accurate to a small factor,
-    which is all the near-singularity warning threshold needs.
+    One solve per column from the given (or a fresh) LU factorization; the
+    systems here are at most 4N x 4N, so this is cheaper than an estimator
+    that factorizes A^H as well.
     """
     A.require_square()
     n = A.rows
     if n == 0:
         return 1.0
     fac = factorization if factorization is not None else lu_factor(A)
-    fac_h = lu_factor(A.conj_transpose())
-    x = [1.0 / n] * n
-    est = 0.0
-    for it in range(5):
-        y = fac.solve(x)
-        est_new = sum(float(abs(v)) for v in y)
-        if it > 0 and est_new <= est:
-            break
-        est = est_new
-        xi = [v / abs(v) if abs(v) != 0 else 1.0 for v in y]
-        z = fac_h.solve(xi)
-        mags = [float(abs(v)) for v in z]
-        j = max(range(n), key=mags.__getitem__)
-        ztx = sum(float((zv.conjugate() * xv).real) for zv, xv in zip(z, x))
-        if mags[j] <= ztx:
-            break
-        x = [0.0] * n
-        x[j] = 1.0
-    # unit-vector probes are cheap insurance for strongly diagonal matrices
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        est = max(est, sum(float(abs(v)) for v in fac.solve(e)))
-        if n > 8:
-            break
-    return A.norm_1() * est
+    inv_norm = max(
+        sum(float(abs(v)) for v in fac.solve([float(i == j) for i in range(n)]))
+        for j in range(n)
+    )
+    return A.norm_1() * inv_norm

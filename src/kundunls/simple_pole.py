@@ -1,21 +1,16 @@
-"""Reflectionless field with simple poles: assemble and solve the 2N x 2N
-system tying the residue data to the field value at one point.
+"""Reflectionless field with simple poles: the 2N x 2N system tying the
+residue data to the field value at one point.
 
-The exponential weights are carried in log form and each column of the
-system is rescaled before the solve, so breathers stay evaluable far out on
-the background where exp(2 i theta) overflows double precision.
+Only the assembly lives here; scaling, solve, determinant route and flags
+come from the shared ``reconstruct`` core.
 """
 
-import warnings
 from dataclasses import dataclass
+from functools import partial
 
-from . import _mathctx
-from .errors import NearSingularWarning, SingularMatrix
-from .linalg import DenseComplexMatrix, cond_estimate, det, lu_factor
-from .spectrum import SIGN_CONVENTIONS, OrbitTable, SpectralConfig
-from .uniformization import SpectralPoint, theta
-
-COND_WARN_THRESHOLD = 1e8
+from . import _mathctx, reconstruct
+from .linalg import DenseComplexMatrix, lu_factor
+from .spectrum import OrbitTable
 
 
 @dataclass
@@ -28,28 +23,26 @@ class SimplePoleSystem:
     mu: list | None = None
 
 
-def _log_weights(orbit: OrbitTable, x, t, ctx):
-    """log(A_minus[xi_hat_j] e^{2 i theta(xi_hat_j)}) for every mirror point."""
-    q0 = orbit.Q0
-    out = []
-    for a, zh in zip(orbit.A_minus_xihat, orbit.xi_hat):
-        th = theta(x, t, SpectralPoint(zh, q0))
-        out.append(ctx.log(a) + 2 * ctx.i * th)
-    return out
+def build(orbit: OrbitTable, x, t, ctx, scaled=True):
+    """Rows of G, b = v and r = w, columns optionally log-rescaled.
+
+    G mu = -v and q = q_minus + s i w^T mu, so q = q_minus - s i w^T G^{-1} v.
+    """
+    w, c = reconstruct.column_weights(orbit, x, t, ctx, scaled)
+    v = [-ctx.i * ctx.convert(orbit.q_minus) / xs for xs in orbit.xi]
+    n = len(orbit.xi)
+    rows = [
+        [w[j] / (orbit.xi[s] - orbit.xi_hat[j]) + (v[s] * c[j] if s == j else 0)
+         for j in range(n)]
+        for s in range(n)
+    ]
+    return rows, v, w
 
 
 def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> SimplePoleSystem:
     """Populate G, w, v literally (no rescaling); valid while the weights are
     representable.  Evaluation routines use the scaled path instead."""
-    logw = _log_weights(orbit, x, t, ctx)
-    w = [ctx.exp(lw) for lw in logw]
-    v = [-ctx.i * ctx.convert(orbit.q_minus) / xs for xs in orbit.xi]
-    n = len(orbit.xi)
-    rows = [
-        [w[j] / (orbit.xi[s] - orbit.xi_hat[j]) + (v[s] if s == j else 0)
-         for j in range(n)]
-        for s in range(n)
-    ]
+    rows, v, w = build(orbit, x, t, ctx, scaled=False)
     return SimplePoleSystem(DenseComplexMatrix.from_rows(rows), w, v)
 
 
@@ -60,94 +53,7 @@ def solve_system(system: SimplePoleSystem) -> list:
     return system.mu
 
 
-def _evaluate(orbit: OrbitTable, x, t, ctx, want_cond):
-    """Scaled solve; returns (q, cond_estimate_or_None)."""
-    qm = ctx.convert(orbit.q_minus)
-    n = len(orbit.xi)
-    if n == 0:
-        return qm, 1.0
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
-    logw = _log_weights(orbit, x, t, ctx)
-    shifts = [max(_mathctx.real_of(lw), 0.0) for lw in logw]
-    wsc = [ctx.exp(lw - m) for lw, m in zip(logw, shifts)]
-    csc = [ctx.exp(ctx.convert(-m)) for m in shifts]
-    v = [-ctx.i * qm / xs for xs in orbit.xi]
-    rows = [
-        [wsc[j] / (orbit.xi[s] - orbit.xi_hat[j]) + (v[s] * csc[j] if s == j else 0)
-         for j in range(n)]
-        for s in range(n)
-    ]
-    G = DenseComplexMatrix.from_rows(rows, check_finite=False)
-    fac = lu_factor(G)
-    y = fac.solve([-vs for vs in v])
-    q = qm + rec_sign * ctx.i * sum(wj * yj for wj, yj in zip(wsc, y))
-    cond = cond_estimate(G, fac) if want_cond else None
-    return q, cond
-
-
-def evaluate_q_det(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):
-    """Determinant-ratio form of the field, via the bordered matrix.
-
-    w^T G^{-1} v = -det([[G, v], [w^T, 0]]) / det(G); the per-column scale
-    factors cancel between the two determinants, so the scaled entries can be
-    used directly.
-    """
-    qm = ctx.convert(orbit.q_minus)
-    n = len(orbit.xi)
-    if n == 0:
-        return qm
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
-    logw = _log_weights(orbit, x, t, ctx)
-    shifts = [max(_mathctx.real_of(lw), 0.0) for lw in logw]
-    wsc = [ctx.exp(lw - m) for lw, m in zip(logw, shifts)]
-    csc = [ctx.exp(ctx.convert(-m)) for m in shifts]
-    v = [-ctx.i * qm / xs for xs in orbit.xi]
-    rows = [
-        [wsc[j] / (orbit.xi[s] - orbit.xi_hat[j]) + (v[s] * csc[j] if s == j else 0)
-         for j in range(n)]
-        for s in range(n)
-    ]
-    bordered = [row + [v[s]] for s, row in enumerate(rows)]
-    bordered.append(list(wsc) + [ctx.convert(0)])
-    num = det(DenseComplexMatrix.from_rows(bordered, check_finite=False))
-    den = det(DenseComplexMatrix.from_rows(rows, check_finite=False))
-    # w^T mu = -w^T G^{-1} v = det(bordered)/det(G)
-    return qm + rec_sign * ctx.i * (num / den)
-
-
-def evaluate_q(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
-               check_condition=True):
-    """Scattering-side field q(x, t); warns when the system is near singular."""
-    try:
-        q, cond = _evaluate(orbit, x, t, ctx, check_condition)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"singular system at (x={x}, t={t}): {exc}") from exc
-    if check_condition and cond is not None and cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"condition estimate {cond:.2e} at (x={x}, t={t})", NearSingularWarning
-        )
-    return q
-
-
-def evaluate_u(cfg: SpectralConfig, orbit: OrbitTable, x: float, t: float,
-               ctx=_mathctx.FLOAT):
-    """Gauge-side field u = q e^{-i gamma0} / epsilon."""
-    q = evaluate_q(orbit, x, t, ctx)
-    return q * ctx.exp(-ctx.i * ctx.convert(cfg.gamma0)) / cfg.epsilon
-
-
-def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts, threads: int = 1):
-    """Sample u and q on the cartesian product ts x xs."""
-    from . import fields
-
-    return fields.evaluate_grid(cfg, orbit, xs, ts, threads=threads)
-
-
-def point_sample(orbit: OrbitTable, x: float, t: float):
-    """(q, flag, cond) without raising; used by grid evaluation."""
-    try:
-        q, cond = _evaluate(orbit, x, t, _mathctx.FLOAT, True)
-    except SingularMatrix:
-        return complex("nan+nanj"), "singular", float("inf")
-    flag = "near_singular" if cond is not None and cond > COND_WARN_THRESHOLD else "ok"
-    return q, flag, cond
+evaluate_q = partial(reconstruct.evaluate_q, build)
+evaluate_q_det = partial(reconstruct.evaluate_q_det, build)
+evaluate_u = partial(reconstruct.evaluate_u, build)
+point_sample = partial(reconstruct.point_sample, build)

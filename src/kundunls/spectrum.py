@@ -11,6 +11,7 @@ the one under which the constructed fields satisfy the evolution equation
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 from . import _mathctx
@@ -210,6 +211,16 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
 
 def validate(cfg: SpectralConfig):
     """Structured invariant check; returns one diagnostic per violation."""
+    values = [("epsilon", cfg.epsilon), ("gamma0", cfg.gamma0),
+              ("q_minus", cfg.q_minus)]
+    for idx, e in enumerate(cfg.eigenvalues):
+        values += [(f"eigenvalues[{idx}].{name}", getattr(e, name))
+                   for name in ("z", "A_plus", "B_plus")]
+    nonfinite = [Diagnostic("NonFiniteValue", f"{name} must be finite, got {v}")
+                 for name, v in values
+                 if not (math.isfinite(v.real) and math.isfinite(v.imag))]
+    if nonfinite:
+        return nonfinite  # the checks below assume finite numbers
     out = []
     if cfg.epsilon == 0:
         out.append(Diagnostic("EpsilonZero", "epsilon must be nonzero"))

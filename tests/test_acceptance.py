@@ -27,6 +27,8 @@ WINDOW = (-5.0, 5.0, -3.0, 3.0)
 
 FIG2A_PGM_SHA256 = \
     "411fe3fe17b61c65e11bb82511830642cc1f55124d2057fb34675fe70c529a26"
+FIG7A_PGM_SHA256 = \
+    "ee793a47f64bf2c2e841b8d59d955dc8453abcf8d2df70f149d0dfd27e7e2b7f"
 
 
 def test_criterion_01_residual_gate_simple_poles(fig2a, fig4a):
@@ -195,7 +197,8 @@ def test_criterion_10_deterministic_construction(tmp_path):
         for ext in (".csv", ".pgm"):
             b1 = (out1 / f"{name}{ext}").read_bytes()
             assert b1 == (out2 / f"{name}{ext}").read_bytes(), (name, ext)
-    digest = hashlib.sha256((tmp_path / "one/fig2a/fig2a.pgm").read_bytes())
-    assert digest.hexdigest() == FIG2A_PGM_SHA256
+    for name, pinned in (("fig2a", FIG2A_PGM_SHA256), ("fig7a", FIG7A_PGM_SHA256)):
+        pgm = (tmp_path / "one" / name / f"{name}.pgm").read_bytes()
+        assert hashlib.sha256(pgm).hexdigest() == pinned, name
     csv_rows = (tmp_path / "one/fig2a/fig2a.csv").read_text().splitlines()
     assert len(csv_rows) - 1 == 401 * 201  # header plus one row per sample

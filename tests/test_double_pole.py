@@ -5,11 +5,11 @@ import mpmath
 import pytest
 
 import oracles
-from kundunls.double_pole import (assemble, evaluate_grid, evaluate_q,
-                                  evaluate_q_det, evaluate_u,
-                                  laurent_coefficients, point_sample,
-                                  solve_system)
+from kundunls.double_pole import (assemble, evaluate_q, evaluate_q_det,
+                                  evaluate_u, laurent_coefficients,
+                                  point_sample, solve_system)
 from kundunls.errors import DegenerateZero
+from kundunls.fields import evaluate_grid
 from kundunls.simple_pole import evaluate_q as simple_evaluate_q
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
                                derive_orbit)

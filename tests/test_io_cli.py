@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,8 +9,6 @@ from kundunls.cli import main
 from kundunls.errors import ConfigParseError, ConfigValidationError
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import PoleOrder, derive_orbit
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def one_point_grid():
@@ -46,12 +43,6 @@ def test_all_presets_load_or_flag_degeneracy():
         except ConfigValidationError:
             failures.append(name)
     assert failures == ["fig5c"]
-
-
-def test_repo_level_presets_mirror_bundled_ones():
-    bundled = io.preset_dir()
-    for path in sorted((REPO_ROOT / "presets").glob("*.json")):
-        assert path.read_text() == bundled.joinpath(path.name).read_text()
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -184,3 +175,54 @@ def test_fmt_shortest_round_trip():
     assert io._fmt(0.1) == "0.1"
     assert io._fmt(1 / 3) == repr(1 / 3)
     assert float(io._fmt(1 / 3)) == 1 / 3
+
+
+
+NAN, INF, DROP = float("nan"), float("inf"), object()
+
+
+def _edited(raw, path, value):
+    """raw with the entry at path set to value (deleted for DROP)."""
+    if not path:
+        return value
+    *parents, last = path
+    target = raw
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, value, code", [
+    (("epsilon",), NAN, "NonFiniteValue"),
+    (("gamma0",), INF, "NonFiniteValue"),
+    (("q_minus",), [NAN, 0.0], "NonFiniteValue"),
+    (("q_minus",), [10 ** 400, 0.0], "NonFiniteValue"),
+    (("eigenvalues", 0, "z"), [0.0, NAN], "NonFiniteValue"),
+    (("eigenvalues", 0, "A_plus"), [-INF, 0.0], "NonFiniteValue"),
+    (("eigenvalues", 0, "B_plus"), [NAN, 0.0], "NonFiniteValue"),
+    (("q_minus",), DROP, "MissingKey"),
+    (("epsilon",), DROP, "MissingKey"),
+    (("eigenvalues", 0, "z"), DROP, "MissingKey"),
+    (("eigenvalues", 0, "A_plus"), DROP, "MissingKey"),
+    (("eigenvalues",), {"z": [0.0, 1.5], "A_plus": [1.0, 0.0]}, "BadEigenvalues"),
+    (("epsilon",), "half", "BadNumber"),
+    (("grid",), [-10, 10], "GridSpec"),
+    ((), [], "ConfigShape"),
+], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
+        "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
+        "no-A_plus", "eigenvalues-object", "string-epsilon", "grid-list",
+        "top-level-list"])
+def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw["grid"].update(nx=5, nt=3)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_edited(raw, path, value)))
+    result = CliRunner().invoke(main, ["construct", str(bad),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"{code}:" in result.output

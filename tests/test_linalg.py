@@ -94,6 +94,16 @@ def test_cond_estimate_within_factor_of_true_condition():
         assert est >= true / 10
 
 
+def test_cond_estimate_is_the_exact_1_norm_condition_number():
+    rng = random.Random(20241)
+    for n in range(2, 13):
+        for _ in range(5):
+            rows = random_matrix(rng, n)
+            got = cond_estimate(DenseComplexMatrix.from_rows(rows))
+            ref = np.linalg.cond(np.array(rows), 1)
+            assert abs(got - ref) <= 1e-10 * ref, n
+
+
 def test_cond_estimate_flags_near_singular():
     eps = 1e-10
     rows = [[1 + 0j, 1 + 0j], [1 + 0j, 1 + eps + 0j]]

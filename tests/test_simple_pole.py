@@ -2,9 +2,9 @@ import random
 
 import oracles
 from kundunls import _mathctx
-from kundunls.simple_pole import (assemble, evaluate_grid, evaluate_q,
-                                  evaluate_q_det, evaluate_u, point_sample,
-                                  solve_system)
+from kundunls.fields import evaluate_grid
+from kundunls.simple_pole import (assemble, evaluate_q, evaluate_q_det,
+                                  evaluate_u, point_sample, solve_system)
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
                                derive_orbit)
 
