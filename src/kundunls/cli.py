@@ -97,8 +97,8 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     g = run.grid
-    xs = fields.linspace(g["x_min"], g["x_max"], int(g["nx"]))
-    ts = fields.linspace(g["t_min"], g["t_max"], int(g["nt"]))
+    xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
+    ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
     grid = fields.evaluate_grid(run.cfg, orbit, xs, ts, threads=threads)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)

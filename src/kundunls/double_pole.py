@@ -10,44 +10,23 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import _mathctx, reconstruct
-from .errors import DegenerateZero
-from .linalg import DenseComplexMatrix, lu_factor
 from .spectrum import OrbitTable
 from .uniformization import SpectralPoint, theta_prime
 
 
 @dataclass
 class DoublePoleSystem:
-    """Block system H (mu, mu') = rhs at one (x, t)."""
+    """Block system H (mu, mu') = rhs at one (x, t); H is a list of rows."""
 
-    H: DenseComplexMatrix
+    H: list
     rhs: list
     Cn_hat_weight: list  # A_minus[xi_hat_n] e^{2 i theta(xi_hat_n)}
     Dn_hat: list
-    unknowns: list | None = None
-
-
-def laurent_coefficients(fval, fprime, g2, g3):
-    """Second-order-pole data of f/g at a double zero of g.
-
-    Returns (P_minus2, residue) = (2 f / g'', 2 (f'/g'' - f g'''/(3 g''^2))).
-    """
-    if abs(g2) < 1e-14:
-        raise DegenerateZero("second derivative of denominator vanishes")
-    p2 = 2 * fval / g2
-    res = 2 * (fprime / g2 - fval * g3 / (3 * g2 * g2))
-    return p2, res
 
 
 def _d_hats(orbit: OrbitTable, x, t, ctx):
-    q0 = orbit.Q0
-    return [
-        ctx.convert(b) if not hasattr(b, "imag") else b
-        for b in (
-            bm + 2 * ctx.i * theta_prime(x, t, SpectralPoint(zh, q0))
-            for bm, zh in zip(orbit.B_minus_xihat, orbit.xi_hat)
-        )
-    ]
+    return [bm + 2 * ctx.i * theta_prime(x, t, SpectralPoint(zh, orbit.Q0))
+            for bm, zh in zip(orbit.B_minus_xihat, orbit.xi_hat)]
 
 
 def build(orbit: OrbitTable, x, t, ctx, scaled=True):
@@ -93,16 +72,9 @@ def build(orbit: OrbitTable, x, t, ctx, scaled=True):
 def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> DoublePoleSystem:
     """Literal (unscaled) block system; valid while the weights are representable."""
     rows, rhs, r = build(orbit, x, t, ctx, scaled=False)
-    return DoublePoleSystem(DenseComplexMatrix.from_rows(rows), rhs,
-                            r[len(orbit.xi):], _d_hats(orbit, x, t, ctx))
-
-
-def solve_system(system: DoublePoleSystem) -> list:
-    system.unknowns = lu_factor(system.H).solve(system.rhs)
-    return system.unknowns
+    return DoublePoleSystem(rows, rhs, r[len(orbit.xi):], _d_hats(orbit, x, t, ctx))
 
 
 evaluate_q = partial(reconstruct.evaluate_q, build)
 evaluate_q_det = partial(reconstruct.evaluate_q_det, build)
-evaluate_u = partial(reconstruct.evaluate_u, build)
 point_sample = partial(reconstruct.point_sample, build)

@@ -19,16 +19,8 @@ class SingularMatrix(KunduNLSError):
     """A pivot underflowed during LU factorization."""
 
 
-class NonSquareMatrix(KunduNLSError):
-    """Operation requires a square matrix."""
-
-
 class EvaluationAtPole(KunduNLSError):
     """Trace product evaluated at one of its poles."""
-
-
-class DegenerateZero(KunduNLSError):
-    """Second derivative of the denominator vanishes; not a double zero."""
 
 
 class PeriodicIncompatible(KunduNLSError):

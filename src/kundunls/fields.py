@@ -8,6 +8,7 @@ of the worker count, so downstream golden files stay byte-stable.
 import cmath
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -15,6 +16,9 @@ import numpy
 
 from . import double_pole, simple_pole
 from .spectrum import OrbitTable, PoleOrder, SpectralConfig
+
+#: The module that reconstructs fields of each pole order.
+POLE_MODULES = {PoleOrder.SIMPLE: simple_pole, PoleOrder.DOUBLE: double_pole}
 
 
 def config_digest(cfg: SpectralConfig) -> str:
@@ -80,26 +84,25 @@ class FieldGrid:
         )
 
 
-def _sampler_for(orbit: OrbitTable):
-    if orbit.cfg.pole_order is PoleOrder.SIMPLE:
-        return simple_pole.point_sample
-    return double_pole.point_sample
-
-
 def _eval_row(args):
     orbit, t, xs = args
-    sample = _sampler_for(orbit)
+    sample = POLE_MODULES[orbit.cfg.pole_order].point_sample
     return [sample(orbit, x, t) for x in xs]
 
 
 def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
                   threads: int = 1) -> FieldGrid:
-    """Sample u and q over ts x xs; per-point failures become flags, not raises."""
+    """Sample u = q e^{-i gamma0} / epsilon and q over ts x xs.
+
+    Per-point failures become flags, not raises, and a non-finite u (or q) is
+    flagged singular.  At most one worker process runs per core and per t row.
+    """
     xs = [float(x) for x in xs]
     ts = [float(t) for t in ts]
     jobs = [(orbit, t, xs) for t in ts]
-    if threads > 1 and len(ts) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(ts))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_row, jobs, chunksize=4))
     else:
         rows = [_eval_row(j) for j in jobs]
@@ -107,9 +110,11 @@ def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
     phase = cmath.exp(-1j * cfg.gamma0) / cfg.epsilon
     q_values, u_values, flags = [], [], []
     for row in rows:
+        us = [q * phase for q, _, _ in row]  # not finite whenever q is not
         q_values.append([q for q, _, _ in row])
-        u_values.append([q * phase for q, _, _ in row])
-        flags.append([flag for _, flag, _ in row])
+        u_values.append(us)
+        flags.append([flag if cmath.isfinite(u) else "singular"
+                      for (_, flag, _), u in zip(row, us)])
     return FieldGrid(xs, ts, q_values, u_values, flags, config_digest(cfg))
 
 

@@ -7,6 +7,7 @@ NetPBM, so golden-file tests can compare raw bytes.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -29,7 +30,6 @@ class RunConfig:
     name: str = ""
     verification: dict = field(default_factory=dict)
     uncertain: bool = False
-    note: str = ""
 
 
 def _as_complex(value, where: str) -> complex:
@@ -45,11 +45,41 @@ def _as_complex(value, where: str) -> complex:
 
 
 def _as_real(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigValidationError([Diagnostic(
-            "BadNumber", f"{where} must be a number, got {value!r}")]) from None
+    """A JSON number (not a bool or a numeric string) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigValidationError([Diagnostic(
+        "BadNumber", f"{where} must be a number, got {value!r}")])
+
+
+def _check_grid(grid) -> None:
+    """Each axis needs finite bounds and an integer count n >= 1; when n > 1,
+    min < max with a step wide enough that the n points stay distinct."""
+    if not isinstance(grid, dict):
+        raise ConfigValidationError([Diagnostic("GridSpec", "grid must be an object")])
+    for axis in "xt":
+        lo, hi = (_as_real(_require(grid, key, f"grid.{key}"), f"grid.{key}")
+                  for key in (f"{axis}_min", f"{axis}_max"))
+        n = _require(grid, f"n{axis}", f"grid.n{axis}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigValidationError([Diagnostic(
+                "BadNumber", f"grid.{axis}_min and grid.{axis}_max must be finite, "
+                f"got {lo} and {hi}")])
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigValidationError([Diagnostic(
+                "GridSpec", f"grid.n{axis} must be an integer >= 1, got {n!r}")])
+        # linspace moves each point by a few ulps of the largest magnitude,
+        # and by more once the step is subnormal
+        span = hi - lo
+        step = span / max(n - 1, 1)
+        if n > 1 and not (step > 16 * math.ulp(max(abs(lo), abs(hi), span))
+                          and step >= sys.float_info.min):
+            raise ConfigValidationError([Diagnostic(
+                "GridSpec", f"grid.{axis}_min = {lo} must lie below grid.{axis}_max "
+                f"= {hi}, far enough apart for n{axis} = {n} distinct points")])
 
 
 def _require(obj: dict, key: str, where: str):
@@ -131,19 +161,19 @@ def load_config(path) -> RunConfig:
         raise ConfigValidationError(diags)
 
     grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigValidationError([Diagnostic("GridSpec", "grid must be an object")])
-    for key in ("x_min", "x_max", "nx", "t_min", "t_max", "nt"):
-        if key not in grid:
-            raise ConfigValidationError([Diagnostic(
-                "GridSpec", f"grid is missing {key!r}")])
+    _check_grid(grid)
+    name = raw.get("name", path.stem)
+    # the name becomes the stem of the output files
+    if (not isinstance(name, str) or not name.strip(".") or "\0" in name
+            or Path(name).name != name):
+        raise ConfigValidationError([Diagnostic(
+            "BadName", f"name must be a plain file name, got {name!r}")])
     return RunConfig(
         cfg=cfg,
         grid=grid,
-        name=raw.get("name", path.stem),
+        name=name,
         verification=raw.get("verification", {}),
         uncertain=bool(raw.get("uncertain", False)),
-        note=raw.get("note", ""),
     )
 
 
@@ -178,22 +208,11 @@ def read_grid_json(path) -> FieldGrid:
     return FieldGrid.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def render_pgm(grid: FieldGrid, path, channel: str = "abs_u", clamp=None):
-    """Binary 8-bit NetPBM heatmap of one channel; top row is t_max."""
-    if channel == "abs_u":
-        pick = abs
-    elif channel == "re_u":
-        pick = lambda v: v.real
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
-    rows = [[pick(v) for v in row] for row in grid.u_values]
+def render_pgm(grid: FieldGrid, path):
+    """Binary 8-bit NetPBM heatmap of |u|; top row is t_max."""
+    rows = [[abs(v) for v in row] for row in grid.u_values]
     finite = [v for row in rows for v in row if math.isfinite(v)]
-    if clamp is not None:
-        lo, hi = clamp
-    elif finite:
-        lo, hi = min(finite), max(finite)
-    else:
-        lo = hi = 0.0
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
     nx, nt = len(grid.xs), len(grid.ts)
     out = bytearray(f"P5\n{nx} {nt}\n255\n".encode("ascii"))
     for row in reversed(rows):  # last t first, so the image reads top-down in t

@@ -17,8 +17,7 @@ import warnings
 
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
-from .linalg import DenseComplexMatrix
-from .spectrum import SIGN_CONVENTIONS, OrbitTable, SpectralConfig
+from .spectrum import SIGN_CONVENTIONS, OrbitTable
 from .uniformization import SpectralPoint, theta
 
 COND_WARN_THRESHOLD = 1e8
@@ -46,11 +45,10 @@ def _solve(build, orbit: OrbitTable, x, t, ctx, want_cond):
         return qm, 1.0
     _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
     rows, rhs, r = build(orbit, x, t, ctx)
-    A = DenseComplexMatrix.from_rows(rows, check_finite=False)
-    fac = linalg.lu_factor(A)
+    fac = linalg.lu_factor(rows)
     y = fac.solve(rhs)
     q = qm - rec_sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
-    return q, (linalg.cond_estimate(A, fac) if want_cond else None)
+    return q, (linalg.cond_estimate(rows, fac) if want_cond else None)
 
 
 def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):
@@ -66,8 +64,8 @@ def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FL
     rows, rhs, r = build(orbit, x, t, ctx)
     bordered = [row + [b] for row, b in zip(rows, rhs)]
     bordered.append(list(r) + [ctx.convert(0)])
-    num = linalg.det(DenseComplexMatrix.from_rows(bordered, check_finite=False))
-    den = linalg.det(DenseComplexMatrix.from_rows(rows, check_finite=False))
+    num = linalg.det(bordered)
+    den = linalg.det(rows)
     return qm + rec_sign * ctx.i * (num / den)
 
 
@@ -85,17 +83,11 @@ def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
     return q
 
 
-def evaluate_u(build, cfg: SpectralConfig, orbit: OrbitTable, x: float, t: float,
-               ctx=_mathctx.FLOAT):
-    """Gauge-side field u = q e^{-i gamma0} / epsilon."""
-    q = evaluate_q(build, orbit, x, t, ctx)
-    return q * ctx.exp(-ctx.i * ctx.convert(cfg.gamma0)) / cfg.epsilon
-
-
 def point_sample(build, orbit: OrbitTable, x: float, t: float):
     """(q, flag, cond) without raising; used by grid evaluation."""
     try:
         q, cond = _solve(build, orbit, x, t, _mathctx.FLOAT, True)
-    except SingularMatrix:
+    except (SingularMatrix, ArithmeticError, ValueError):
+        # a pivot underflowed, or a weight or pole left double range
         return complex("nan+nanj"), "singular", float("inf")
     return q, ("near_singular" if cond > COND_WARN_THRESHOLD else "ok"), cond

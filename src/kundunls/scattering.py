@@ -28,9 +28,9 @@ def _order_exponent(orbit: OrbitTable) -> int:
     return 1 if orbit.cfg.pole_order is PoleOrder.SIMPLE else 2
 
 
-def trace_s11(orbit: OrbitTable, z: complex, order: PoleOrder | None = None) -> complex:
+def trace_s11(orbit: OrbitTable, z: complex) -> complex:
     """s11(z) as the finite product over the discrete spectrum (rho = 0)."""
-    m = _order_exponent(orbit) if order is None else (1 if order is PoleOrder.SIMPLE else 2)
+    m = _order_exponent(orbit)
     out = 1 + 0j
     for num, den in _trace_factors(orbit, z):
         if abs(den) < _POLE_TOL * (1 + abs(z)):
@@ -39,9 +39,9 @@ def trace_s11(orbit: OrbitTable, z: complex, order: PoleOrder | None = None) -> 
     return out
 
 
-def trace_s22(orbit: OrbitTable, z: complex, order: PoleOrder | None = None) -> complex:
+def trace_s22(orbit: OrbitTable, z: complex) -> complex:
     """s22(z) = 1/s11(z), evaluated as its own product so the poles swap."""
-    m = _order_exponent(orbit) if order is None else (1 if order is PoleOrder.SIMPLE else 2)
+    m = _order_exponent(orbit)
     out = 1 + 0j
     for num, den in _trace_factors(orbit, z):
         if abs(num) < _POLE_TOL * (1 + abs(z)):
@@ -83,16 +83,14 @@ def _rel_err(lhs, rhs) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def check_symmetries(orbit: OrbitTable, order: PoleOrder | None = None,
-                     tol: float = 1e-12):
+def check_symmetries(orbit: OrbitTable, tol: float = 1e-12):
     """Re-derive every chained norming-constant equality and compare.
 
     Each relation is evaluated from the canonical eigenvalues and A_plus
     alone, so a corrupted entry anywhere else in the table shows up as an
     O(1) relative error in exactly the relation it violates.
     """
-    if order is None:
-        order = orbit.cfg.pole_order
+    order = orbit.cfg.pole_order
     sym_sign, _ = SIGN_CONVENTIONS[orbit.sign_convention]
     qm = orbit.cfg.q_minus
     q0sq = orbit.Q0 ** 2

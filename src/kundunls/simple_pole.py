@@ -9,18 +9,16 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import _mathctx, reconstruct
-from .linalg import DenseComplexMatrix, lu_factor
 from .spectrum import OrbitTable
 
 
 @dataclass
 class SimplePoleSystem:
-    """The linear system at one (x, t): G mu = -v with weights w."""
+    """The linear system G mu = -v at one (x, t), G as rows, weights w."""
 
-    G: DenseComplexMatrix
+    G: list
     w: list
     v: list
-    mu: list | None = None
 
 
 def build(orbit: OrbitTable, x, t, ctx, scaled=True):
@@ -43,17 +41,9 @@ def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> Simpl
     """Populate G, w, v literally (no rescaling); valid while the weights are
     representable.  Evaluation routines use the scaled path instead."""
     rows, v, w = build(orbit, x, t, ctx, scaled=False)
-    return SimplePoleSystem(DenseComplexMatrix.from_rows(rows), w, v)
-
-
-def solve_system(system: SimplePoleSystem) -> list:
-    """Solve for the unknowns mu = G^{-1} (-v) and store them on the system."""
-    rhs = [-vi for vi in system.v]
-    system.mu = lu_factor(system.G).solve(rhs)
-    return system.mu
+    return SimplePoleSystem(rows, w, v)
 
 
 evaluate_q = partial(reconstruct.evaluate_q, build)
 evaluate_q_det = partial(reconstruct.evaluate_q_det, build)
-evaluate_u = partial(reconstruct.evaluate_u, build)
 point_sample = partial(reconstruct.point_sample, build)

@@ -67,13 +67,6 @@ class SpectralConfig:
         """Background amplitude of the gauge-side field u."""
         return self.Q0 / abs(self.epsilon)
 
-    def require_valid(self):
-        problems = [d for d in validate(self) if not d.ok]
-        if problems:
-            from .errors import ConfigValidationError
-
-            raise ConfigValidationError(problems)
-
 
 def canonicalize_eigenvalue(z: complex, Q0: float) -> complex:
     """Pick the orbit member of {z, z*, -Q0^2/z, -Q0^2/z*} with Im > 0, |.| > Q0."""
@@ -224,13 +217,27 @@ def validate(cfg: SpectralConfig):
     out = []
     if cfg.epsilon == 0:
         out.append(Diagnostic("EpsilonZero", "epsilon must be nonzero"))
-    if abs(cfg.q_minus) == 0:
+    if cfg.q_minus == 0:
         out.append(Diagnostic(
             "QMinusZero",
             "|q_minus| must be positive; approach the zero-background limit "
             "with a small |q_minus| instead",
         ))
         return out
+    try:
+        out += _eigenvalue_problems(cfg)
+        if not out:
+            derive_orbit(cfg)
+        return out
+    except ArithmeticError:  # the orbit leaves double range
+        return out + [Diagnostic("Unrepresentable", "q_minus and the eigenvalues give "
+                                 "mirror points or norming constants that overflow "
+                                 "or underflow double precision")]
+
+
+def _eigenvalue_problems(cfg: SpectralConfig):
+    """Contour, zero-norming-constant and duplicate eigenvalue diagnostics."""
+    out = []
     q0 = cfg.Q0
     canon = []
     for idx, e in enumerate(cfg.eigenvalues):

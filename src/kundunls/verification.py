@@ -7,16 +7,17 @@ same equation, and boundary/phase asymptotics.  A field that fools all
 three at once would have to be a genuine solution.
 """
 
+import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
-from . import _mathctx, double_pole, scattering, simple_pole
+from . import _mathctx, scattering
 from .errors import (NonPowerOfTwo, PeriodicIncompatible,
                      StencilEvaluationFailure)
-from .spectrum import (SIGN_CONVENTIONS, PoleOrder, SpectralConfig,
-                       derive_orbit)
+from .fields import POLE_MODULES
+from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
+from .uniformization import SpectralPoint, lambda_of_z
 
 RESIDUAL_DPS = 40
 PERIODIC_GATE = 1e-8
@@ -102,23 +103,22 @@ def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
     return ctx.i * q_t + q_xx + 2 * (mod2 - cfg.Q0 ** 2) * qc
 
 
-def _mp_evaluator(cfg: SpectralConfig, convention: str, dps: int = RESIDUAL_DPS):
-    """High-precision pointwise evaluator q(x, t) plus its math context."""
-    ctx = _mathctx.mp_context(dps)
+def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
+    """Pointwise evaluator q(x, t) in ``ctx``, plus the orbit it uses."""
     orbit = derive_orbit(cfg, convention, ctx=ctx)
-    point = (simple_pole.evaluate_q if cfg.pole_order is PoleOrder.SIMPLE
-             else double_pole.evaluate_q)
+    point = POLE_MODULES[cfg.pole_order].evaluate_q
 
     def evaluator(x, t):
         return point(orbit, x, t, ctx=ctx, check_condition=False)
 
-    return evaluator, ctx
+    return evaluator, orbit
 
 
 def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
                    convention: str = "auto", dps: int = RESIDUAL_DPS) -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max)."""
-    evaluator, ctx = _mp_evaluator(cfg, convention, dps)
+    ctx = _mathctx.mp_context(dps)
+    evaluator, _ = _evaluator(cfg, convention, ctx)
     x_min, x_max, t_min, t_max = window
     # build the sample points in working precision: a coordinate rounded to
     # double would be amplified by 1/h^2 in the second-difference stencil
@@ -134,8 +134,7 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
     return worst
 
 
-def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float,
-                      linear_only: bool = False):
+def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     """Strang-split integration of i q_t + q_xx + 2(|q|^2 - Q0^2) q = 0.
 
     Periodic on [-L, L); returns the samples at t1.  The nonlinear substep
@@ -154,8 +153,6 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float,
         raise ValueError("evolution span must be an integer number of steps")
 
     def half_nonlinear(arr):
-        if linear_only:
-            return arr
         return arr * np.exp(2j * (np.abs(arr) ** 2 - Q0 ** 2) * (setup.dt / 2))
 
     for _ in range(n_steps):
@@ -172,23 +169,12 @@ def renormalized_mass(q_samples, L: float, Q0: float) -> float:
     return float(np.sum(np.abs(q) ** 2 - Q0 ** 2) * dx)
 
 
-def _float_evaluator(cfg: SpectralConfig, convention: str):
-    orbit = derive_orbit(cfg, convention)
-    point = (simple_pole.evaluate_q if cfg.pole_order is PoleOrder.SIMPLE
-             else double_pole.evaluate_q)
-
-    def evaluator(x, t):
-        return point(orbit, x, t, check_condition=False)
-
-    return evaluator, orbit
-
-
 def probe_convention(cfg: SpectralConfig, x: float = 0.3, t: float = 0.7,
                      h: float = 1e-3) -> dict:
     """Single-point residual magnitude under each registered convention."""
     out = {}
     for name in SIGN_CONVENTIONS:
-        evaluator, _ = _float_evaluator(cfg, name)
+        evaluator, _ = _evaluator(cfg, name)
         out[name] = abs(pde_residual(evaluator, cfg, x, t, h))
     return out
 
@@ -196,7 +182,7 @@ def probe_convention(cfg: SpectralConfig, x: float = 0.3, t: float = 0.7,
 def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
                           convention: str = "auto") -> float:
     """L-inf mismatch between split-step evolution and the exact formula."""
-    evaluator, orbit = _float_evaluator(cfg, convention)
+    evaluator, orbit = _evaluator(cfg, convention)
     if abs(orbit.q_plus - cfg.q_minus) > PERIODIC_GATE:
         raise PeriodicIncompatible(
             f"|q_plus - q_minus| = {abs(orbit.q_plus - cfg.q_minus):.3e} "
@@ -215,7 +201,7 @@ def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
 def boundary_errors(cfg: SpectralConfig, convention: str = "auto",
                     L: float = 30.0, t: float = 0.0):
     """(|q(-L) - q_minus|, |q(+L) - q_plus|)."""
-    evaluator, orbit = _float_evaluator(cfg, convention)
+    evaluator, orbit = _evaluator(cfg, convention)
     return (abs(evaluator(-L, t) - cfg.q_minus),
             abs(evaluator(L, t) - orbit.q_plus))
 
@@ -236,18 +222,25 @@ def peak_locations(ts, vals):
             if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
 
 
-def verify(cfg: SpectralConfig, solver: str | None = None,
-           plan: dict | None = None) -> VerificationReport:
+def boundary_window(orbit) -> float:
+    """Default boundary L: 20 e-folds of the slowest tail, within [30, 250].
+
+    The tail of eigenvalue z_n decays like exp(-2 Im lambda(z_n) |x|), so a
+    fixed L leaves slowly decaying fields far above the boundary gate.
+    """
+    rate = min((2 * lambda_of_z(SpectralPoint(z, orbit.Q0)).imag
+                for z in orbit.canonical_z), default=math.inf)
+    return min(max(30.0, 20 / rate if rate > 0 else math.inf), 250.0)
+
+
+def verify(cfg: SpectralConfig, plan: dict | None = None) -> VerificationReport:
     """Run the full independent-check battery and report.
 
-    plan keys (all optional): window, residual_n, h, boundary_L,
-    evolution (EvolutionSetup or None to skip), convention, dps.
+    plan keys (all optional): window, residual_n, h, boundary_L (default
+    ``boundary_window``), evolution (EvolutionSetup or None to skip),
+    convention, dps.
     """
     plan = dict(plan or {})
-    if solver is not None:
-        want = PoleOrder(solver)
-        if want is not cfg.pole_order:
-            raise ValueError(f"config is {cfg.pole_order.value}-pole, not {solver}")
     convention = plan.get("convention", "auto")
     warnings_list = []
 
@@ -270,9 +263,10 @@ def verify(cfg: SpectralConfig, solver: str | None = None,
     grid_spec = (f"{n}x{n} grid on x in [{window[0]}, {window[1]}], "
                  f"t in [{window[2]}, {window[3]}], h={h}")
 
-    b_errs = boundary_errors(cfg, convention, L=plan.get("boundary_L", 30.0))
-
     orbit = derive_orbit(cfg, convention)
+    L = plan["boundary_L"] if "boundary_L" in plan else boundary_window(orbit)
+    b_errs = boundary_errors(cfg, convention, L=L)
+
     theta_diag = scattering.check_theta_condition(orbit)
     if not theta_diag.ok:
         warnings_list.append(theta_diag.message)

@@ -21,7 +21,7 @@ from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
 from kundunls import double_pole, simple_pole
 from kundunls.verification import (EvolutionSetup, boundary_errors,
                                    evolution_cross_check, peak_locations,
-                                   residual_sweep, _float_evaluator)
+                                   residual_sweep, _evaluator)
 
 WINDOW = (-5.0, 5.0, -3.0, 3.0)
 
@@ -64,7 +64,7 @@ def test_criterion_04_boundary_and_theta(fig2a, fig7a):
     for cfg, m in ((fig2a, 4), (fig7a, 8)):
         e_minus, e_plus = boundary_errors(cfg, "a", L=30.0)
         assert e_minus < 1e-8 and e_plus < 1e-8
-        evaluator, orbit = _float_evaluator(cfg, "a")
+        evaluator, orbit = _evaluator(cfg, "a")
         measured = cmath.phase(evaluator(30.0, 0.0) / evaluator(-30.0, 0.0))
         expected = -m * sum(cmath.phase(z) for z in orbit.canonical_z)
         wrapped = (measured - expected + math.pi) % (2 * math.pi) - math.pi
@@ -130,7 +130,7 @@ def test_criterion_08_zero_background_limit():
     """A vanishing background turns the breather into a decaying bright pulse."""
     cfg = SpectralConfig(1e-6 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
                          (EigenEntry(1.5j, 1 + 0j),))
-    evaluator, _ = _float_evaluator(cfg, "a")
+    evaluator, _ = _evaluator(cfg, "a")
     xs = [x * 0.01 for x in range(-2000, 2001)]
     vals = [abs(evaluator(x, 0.0)) for x in xs]
     imax = max(range(len(vals)), key=vals.__getitem__)
@@ -146,7 +146,7 @@ def test_criterion_08_zero_background_limit():
 
 def test_criterion_09_figure_phenomenology(fig2a):
     """Breather periodicity and the background sweep match the captions."""
-    evaluator, _ = _float_evaluator(fig2a, "a")
+    evaluator, _ = _evaluator(fig2a, "a")
     ts = [t * 1e-3 for t in range(-6000, 6001)]
     vals = [abs(evaluator(0.0, t) / 0.5) for t in ts]
     peaks = [p for p in peak_locations(ts, vals)
@@ -156,7 +156,7 @@ def test_criterion_09_figure_phenomenology(fig2a):
     assert abs(periods[0] - periods[1]) < 1e-6
 
     run3 = io.load_config("fig3a")
-    ev3, _ = _float_evaluator(run3.cfg, "a")
+    ev3, _ = _evaluator(run3.cfg, "a")
     xs = [x * 2e-3 for x in range(-3000, 3001)]
     v3 = [abs(ev3(x, 0.0)) for x in xs]
     p3 = peak_locations(xs, v3)
@@ -168,7 +168,7 @@ def test_criterion_09_figure_phenomenology(fig2a):
     tops = []
     for name in ("fig2a", "fig2b", "fig2d"):
         run = io.load_config(name)
-        ev, _ = _float_evaluator(run.cfg, "a")
+        ev, _ = _evaluator(run.cfg, "a")
         u0 = run.cfg.u0
         top = max(abs(ev(x * 0.25, t * 0.2)) / run.cfg.epsilon - u0
                   for x in range(-40, 41) for t in range(-10, 11))

@@ -3,10 +3,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kundunls import io
+from kundunls import fields, io
 from kundunls.cli import main
-from kundunls.errors import ConfigParseError, ConfigValidationError
+from kundunls.errors import ConfigParseError, ConfigValidationError, KunduNLSError
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import PoleOrder, derive_orbit
 
@@ -98,13 +100,6 @@ def test_pgm_orientation_top_row_is_t_max(tmp_path):
     io.render_pgm(grid, path)
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert body == bytes([255, 0])  # t=1 row first, brighter
-
-
-def test_pgm_clamp(tmp_path):
-    grid = one_point_grid()
-    path = tmp_path / "c.pgm"
-    io.render_pgm(grid, path, clamp=(0.0, 2.0))
-    assert path.read_bytes()[-1] == 128  # value 1 in [0, 2]
 
 
 def test_grid_validation_rejects_bad_axes():
@@ -210,11 +205,25 @@ def _edited(raw, path, value):
     (("eigenvalues", 0, "A_plus"), DROP, "MissingKey"),
     (("eigenvalues",), {"z": [0.0, 1.5], "A_plus": [1.0, 0.0]}, "BadEigenvalues"),
     (("epsilon",), "half", "BadNumber"),
+    (("epsilon",), "0.5", "BadNumber"),
     (("grid",), [-10, 10], "GridSpec"),
+    (("grid", "x_min"), 20, "GridSpec"),
+    (("grid", "nx"), "abc", "GridSpec"),
+    (("grid", "nx"), "5", "GridSpec"),
+    (("grid", "nx"), True, "GridSpec"),
+    (("grid", "nt"), 0, "GridSpec"),
+    (("grid", "x_max"), NAN, "BadNumber"),
+    (("grid", "t_min"), "-5", "BadNumber"),
+    (("name",), "../fig2a", "BadName"),
+    (("q_minus",), [1e200, 0.0], "Unrepresentable"),
+    (("eigenvalues", 0, "z"), [0.0, 5e-324], "Unrepresentable"),
     ((), [], "ConfigShape"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
-        "no-A_plus", "eigenvalues-object", "string-epsilon", "grid-list",
+        "no-A_plus", "eigenvalues-object", "string-epsilon",
+        "numeric-string-epsilon", "grid-list", "reversed-x", "string-nx",
+        "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
+        "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
@@ -226,3 +235,85 @@ def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, cod
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert f"{code}:" in result.output
+
+
+def test_threads_capped_at_cores_and_rows(tmp_path, monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(fields, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(fields.os, "cpu_count", lambda: 4)
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    cfg = tmp_path / "small.json"
+    raw["grid"].update(nx=3, nt=5)
+    cfg.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["construct", str(cfg), "--threads", "64",
+                                       "--out", str(tmp_path / "a")])
+    assert result.exit_code == 0, result.output
+    monkeypatch.setenv("NZBC_THREADS", "64")
+    raw["grid"]["nt"] = 3
+    cfg.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["construct", str(cfg),
+                                       "--out", str(tmp_path / "b")])
+    assert result.exit_code == 0, result.output
+    assert made == [4, 3]
+
+
+def _key_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _key_paths(value, prefix + (key,))
+
+
+SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+SMALL_FIG2A["grid"].update(nx=5, nt=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=4)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(list(_key_paths(SMALL_FIG2A))),
+              st.just(DROP) | JSON_VALUES
+              | st.lists(st.floats(), min_size=2, max_size=2)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(EDITS)
+def test_mutated_config_never_escapes_as_traceback(tmp_path, edits):
+    """Up to three edits at random key paths of a 5x3 fig2a; integers stay
+    <= 5, so grids do too."""
+    raw = json.loads(json.dumps(SMALL_FIG2A))
+    for path, value in edits:
+        try:
+            raw = _edited(raw, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the parent
+    bad = tmp_path / "mutated.json"
+    bad.write_text(json.dumps({} if raw is DROP else raw))
+    try:
+        io.load_config(bad)
+    except KunduNLSError:
+        pass
+    result = CliRunner().invoke(main, ["construct", str(bad),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

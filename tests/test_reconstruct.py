@@ -8,9 +8,9 @@ def test_point_sample_factorizes_once_per_point(monkeypatch, fig2a, fig4a, fig7a
     sizes = []
     real = linalg.lu_factor
 
-    def counted(A):
-        sizes.append(A.rows)
-        return real(A)
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
 
     # patch every module that bound the name, not only linalg itself
     for name, mod in list(sys.modules.items()):

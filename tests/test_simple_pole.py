@@ -3,10 +3,11 @@ import random
 import oracles
 from kundunls import _mathctx
 from kundunls.fields import evaluate_grid
+from kundunls.linalg import lu_factor
 from kundunls.simple_pole import (assemble, evaluate_q, evaluate_q_det,
-                                  evaluate_u, point_sample, solve_system)
+                                  point_sample)
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
-                               derive_orbit)
+                               derive_orbit, validate)
 
 FIG2A_Q00 = 1.0 + 0.8248730964467005j  # frozen after the first verified build
 
@@ -14,7 +15,7 @@ FIG2A_Q00 = 1.0 + 0.8248730964467005j  # frozen after the first verified build
 def test_assembled_system_at_origin(fig2a):
     orbit = derive_orbit(fig2a, "a")
     system = assemble(orbit, 0.0, 0.0)
-    assert system.G.rows == 2 and system.G.cols == 2
+    assert [len(row) for row in system.G] == [2, 2]
     # the phase vanishes at the origin, so the weights are bare constants
     for wj, aj in zip(system.w, orbit.A_minus_xihat):
         assert abs(wj - aj) < 1e-15
@@ -35,7 +36,7 @@ def test_assembled_entries_match_oracle_formulas(fig4a):
                 ref = w / (mpmath.mpc(orbit.xi[s]) - mpmath.mpc(orbit.xi_hat[j]))
                 if s == j:
                     ref += -1j / mpmath.mpc(orbit.xi[s])
-                got = system.G.entries[s][j]
+                got = system.G[s][j]
                 assert abs(got - complex(ref)) <= 1e-12 * (1 + abs(complex(ref)))
 
 
@@ -78,7 +79,7 @@ def test_determinant_form_agrees_with_linear_form(fig2a, fig4a):
 def test_solve_system_unknowns_reproduce_field(fig2a):
     orbit = derive_orbit(fig2a, "a")
     system = assemble(orbit, 0.4, -0.2)
-    mu = solve_system(system)
+    mu = lu_factor(system.G).solve([-vi for vi in system.v])
     q = orbit.q_minus + 1j * sum(w * m for w, m in zip(system.w, mu))
     assert abs(q - evaluate_q(orbit, 0.4, -0.2)) < 1e-12
 
@@ -94,12 +95,12 @@ def test_background_recovery_with_tiny_norming_constant():
 def test_gauge_scaling(fig2a):
     import cmath
     orbit = derive_orbit(fig2a, "a")
-    u = evaluate_u(fig2a, orbit, 0.3, 0.3)
+    u = evaluate_grid(fig2a, orbit, [0.3], [0.3]).u_values[0][0]
     q = evaluate_q(orbit, 0.3, 0.3)
     assert abs(u - q / 0.5) < 1e-13
     rotated = SpectralConfig(1 + 0j, 0.5, 1.2, PoleOrder.SIMPLE,
                              fig2a.eigenvalues)
-    u2 = evaluate_u(rotated, derive_orbit(rotated, "a"), 0.3, 0.3)
+    u2 = evaluate_grid(rotated, derive_orbit(rotated, "a"), [0.3], [0.3]).u_values[0][0]
     assert abs(u2 - u * cmath.exp(-1.2j)) < 1e-13
 
 
@@ -125,6 +126,11 @@ def test_point_sample_never_raises():
     orbit = derive_orbit(cfg, "a")
     q, flag, cond = point_sample(orbit, 0.0, 0.0)
     assert flag == "ok" and cond >= 1.0
+    # z this close to the real axis makes a Cauchy denominator round to zero
+    edge = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE, (EigenEntry(
+        695923947298 + 1.1964050115783906e-300j, 1 + 0j),))
+    assert not validate(edge)
+    assert point_sample(derive_orbit(edge, "a"), 0.0, 0.0)[1] == "singular"
 
 
 def test_grid_evaluation_matches_pointwise(fig2a):
@@ -135,3 +141,10 @@ def test_grid_evaluation_matches_pointwise(fig2a):
         for j, x in enumerate(grid.xs):
             assert abs(grid.q_values[i][j] - evaluate_q(orbit, x, t)) < 1e-13
             assert abs(grid.u_values[i][j] - grid.q_values[i][j] / 0.5) < 1e-13
+
+
+def test_grid_flags_non_finite_u_singular(fig2a):
+    # epsilon passes validation, but u = q e^{-i gamma0} / epsilon overflows
+    tiny = SpectralConfig(1 + 0j, 1e-320, 0.0, PoleOrder.SIMPLE, fig2a.eigenvalues)
+    grid = evaluate_grid(tiny, derive_orbit(tiny, "a"), [-1.0, 0.0, 1.0], [0.5])
+    assert grid.flags == [["singular"] * 3]

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from kundunls import io
 from kundunls.errors import NonPowerOfTwo, PeriodicIncompatible, StencilEvaluationFailure
-from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig
-from kundunls.verification import (EvolutionSetup, boundary_errors,
+from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
+from kundunls.verification import (EvolutionSetup, boundary_errors, boundary_window,
                                    evolution_cross_check, pde_residual,
                                    peak_locations, probe_convention,
                                    renormalized_mass, residual_sweep,
-                                   split_step_evolve, verify, _float_evaluator)
+                                   split_step_evolve, verify, _evaluator)
 
 
 def test_background_residual_is_zero(background_only):
@@ -19,13 +20,13 @@ def test_background_residual_is_zero(background_only):
 
 
 def test_residual_small_for_constructed_field(fig2a):
-    evaluator, _ = _float_evaluator(fig2a, "a")
+    evaluator, _ = _evaluator(fig2a, "a")
     r = pde_residual(evaluator, fig2a, 0.3, 0.7, 1e-3)
     assert abs(r) < 1e-6
 
 
 def test_residual_exposes_wrong_sign_convention(fig2a):
-    evaluator, _ = _float_evaluator(fig2a, "b")
+    evaluator, _ = _evaluator(fig2a, "b")
     r = pde_residual(evaluator, fig2a, 0.3, 0.7, 1e-3)
     assert abs(r) > 1.0
 
@@ -64,7 +65,8 @@ def test_split_step_linear_only_plane_wave():
     xs = -L + 2 * L * np.arange(M) / M
     kappa = 3.0
     q0 = np.exp(1j * kappa * xs)
-    out = split_step_evolve(q0, setup, 1.0, linear_only=True)
+    # |q| = Q0 everywhere, so the nonlinear substep is the identity
+    out = split_step_evolve(q0, setup, 1.0)
     expect = q0 * cmath.exp(-1j * kappa ** 2 * 0.05)
     assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -76,7 +78,7 @@ def test_split_step_rejects_bad_grid():
 
 
 def test_mass_conservation(fig2a):
-    evaluator, _ = _float_evaluator(fig2a, "a")
+    evaluator, _ = _evaluator(fig2a, "a")
     setup = EvolutionSetup(L=40.0, M=1024, dt=1e-3, t0=-0.5, t1=0.5)
     xs = -setup.L + 2 * setup.L * np.arange(setup.M) / setup.M
     q0 = np.array([evaluator(x, setup.t0) for x in xs])
@@ -96,6 +98,17 @@ def test_boundary_flatness_decays_with_window(fig2a):
     assert errs[0] > errs[1] > errs[2]
     # tail rate 2 Im lambda(z1) = 5/6 per unit: each extra 5 units is ~e^-4
     assert errs[1] < errs[0] / 30 and errs[2] < errs[1] / 30
+
+
+def test_boundary_window_follows_slowest_tail(fig2a, fig4a):
+    # 2 Im lambda(z) is 5/6 for fig2a and 1/2 for fig4a's z = 1 + i, so 20
+    # e-folds need L = 24 (raised to 30) and L = 40; fig3a barely decays
+    assert boundary_window(derive_orbit(fig2a, "a")) == 30.0
+    assert boundary_window(derive_orbit(fig4a, "a")) == pytest.approx(40.0)
+    assert boundary_window(derive_orbit(io.load_config("fig3a").cfg, "a")) == 250.0
+    report = verify(fig4a, plan={"residual_n": 3, "window": (-1, 1, -1, 1),
+                                 "evolution": None})
+    assert max(report.boundary_errors) < 1e-6 and report.passed
 
 
 def test_peak_refinement_quadratic():
@@ -120,11 +133,6 @@ def test_verify_fig4a_marks_evolution_not_applicable(fig4a):
     assert report.evolution_linf_error is None
     assert "PeriodicIncompatible" in report.evolution_reason
     assert report.residual_max < 1e-6
-
-
-def test_verify_solver_mismatch_rejected(fig2a):
-    with pytest.raises(ValueError):
-        verify(fig2a, solver="double", plan={"residual_n": 3})
 
 
 def test_report_serializes(background_only):
