@@ -2,14 +2,16 @@
 
 Every solver-facing function in this package does its complex arithmetic
 through one of these contexts.  ``FLOAT`` uses the builtin ``complex`` type;
-``mp_context(dps)`` returns an mpmath-backed context used by the residual
-checker, where stencil differencing would otherwise be limited by double
-roundoff.
+``NUMPY`` evaluates the same formulas over a float64 array of x values at
+once, for batched grid rows; ``mp_context(dps)`` returns an mpmath-backed
+context used by the residual checker, where stencil differencing would
+otherwise be limited by double roundoff.
 """
 
 import cmath
 
 import mpmath
+import numpy
 
 
 class MathContext:
@@ -27,6 +29,8 @@ class MathContext:
 
 
 FLOAT = MathContext(complex, cmath.exp, cmath.log, cmath.phase, "float64")
+NUMPY = MathContext(lambda v: numpy.asarray(v, dtype=complex), numpy.exp, numpy.log,
+                    numpy.angle, "numpy-float64")
 
 
 def mp_context(dps=40):
@@ -35,7 +39,3 @@ def mp_context(dps=40):
     return MathContext(ctx.mpc, ctx.exp, ctx.log, ctx.arg,
                        f"mpmath-dps{dps}", real=ctx.mpf)
 
-
-def real_of(x):
-    """Real part as a python float, for either scalar flavor."""
-    return float(x.real)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -68,7 +69,8 @@ sign_option = click.option(
     show_default=True, help="Overall sign convention of the reconstruction.")
 threads_option = click.option(
     "--threads", type=int, default=None,
-    help="Worker processes for grid evaluation (default: NZBC_THREADS or 1).")
+    help="Accepted for compatibility (default: NZBC_THREADS or 1); evaluation "
+         "runs in one process and output is identical for any value.")
 seed_option = click.option(
     "--seed", type=int, default=0, show_default=True,
     help="Seed for randomized spot checks.")
@@ -90,7 +92,7 @@ def main():
 def construct(config, out, emit_gnuplot, sign_convention, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
     run = _load(config)
-    threads = _resolve_threads(threads)
+    _resolve_threads(threads)  # still checked, though output never depends on it
     try:
         orbit = derive_orbit(run.cfg, sign_convention)
     except KunduNLSError as exc:
@@ -99,7 +101,7 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
-    grid = fields.evaluate_grid(run.cfg, orbit, xs, ts, threads=threads)
+    grid = fields.evaluate_grid(run.cfg, orbit, xs, ts)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_grid_csv(grid, outdir / f"{run.name}.csv")
@@ -108,9 +110,11 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
     if emit_gnuplot:
         io.emit_gnuplot(f"{run.name}.csv", outdir / f"{run.name}.gp",
                         title=run.name)
-    bad = sum(flag != "ok" for row in grid.flags for flag in row)
+    counts = Counter(flag for row in grid.flags for flag in row)
+    bad = counts["near_singular"] + counts["singular"]
     if bad:
-        click.echo(f"warning: {bad} grid points flagged", err=True)
+        click.echo(f"warning: {bad} grid points flagged ({counts['near_singular']} "
+                   f"near_singular, {counts['singular']} singular)", err=True)
     click.echo(f"wrote {run.name}.csv/.json/.pgm to {outdir}")
 
 

@@ -78,3 +78,4 @@ def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> Doubl
 evaluate_q = partial(reconstruct.evaluate_q, build)
 evaluate_q_det = partial(reconstruct.evaluate_q_det, build)
 point_sample = partial(reconstruct.point_sample, build)
+sample_row = partial(reconstruct.sample_row, build)

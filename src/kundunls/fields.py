@@ -1,15 +1,14 @@
-"""Sampled field surfaces and the (optionally parallel) grid evaluator.
+"""Sampled field surfaces and the grid evaluator.
 
 The grid is stored t-major (row i = time ts[i]) with separate q and u
-matrices plus a per-point flag; evaluation order and output are independent
-of the worker count, so downstream golden files stay byte-stable.
+matrices plus a per-point flag.  Each t row is evaluated as one batch in
+process, and every point's arithmetic is independent of the batch, so
+downstream golden files stay byte-stable.
 """
 
 import cmath
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy
@@ -84,28 +83,18 @@ class FieldGrid:
         )
 
 
-def _eval_row(args):
-    orbit, t, xs = args
-    sample = POLE_MODULES[orbit.cfg.pole_order].point_sample
-    return [sample(orbit, x, t) for x in xs]
-
-
 def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
                   threads: int = 1) -> FieldGrid:
     """Sample u = q e^{-i gamma0} / epsilon and q over ts x xs.
 
     Per-point failures become flags, not raises, and a non-finite u (or q) is
-    flagged singular.  At most one worker process runs per core and per t row.
+    flagged singular.  Evaluation runs in this process, one batch per t row;
+    ``threads`` is accepted for callers that pass it and changes nothing.
     """
     xs = [float(x) for x in xs]
     ts = [float(t) for t in ts]
-    jobs = [(orbit, t, xs) for t in ts]
-    workers = min(threads, os.cpu_count() or 1, len(ts))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_row, jobs, chunksize=4))
-    else:
-        rows = [_eval_row(j) for j in jobs]
+    sample_row = POLE_MODULES[orbit.cfg.pole_order].sample_row
+    rows = [sample_row(orbit, xs, t) for t in ts]
 
     phase = cmath.exp(-1j * cfg.gamma0) / cfg.epsilon
     q_values, u_values, flags = [], [], []

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigParseError, ConfigValidationError, Diagnostic
+from .errors import ConfigParseError, ConfigValidationError, Diagnostic, NonPowerOfTwo
 from .fields import FieldGrid
 from .spectrum import (EigenEntry, PoleOrder, SpectralConfig, validate)
+from .verification import DEFAULT_GATES, EvolutionSetup
 
 SCHEMA_VERSION = 1
 
@@ -82,6 +83,74 @@ def _check_grid(grid) -> None:
                 f"= {hi}, far enough apart for n{axis} = {n} distinct points")])
 
 
+def _bad_plan(message: str):
+    return ConfigValidationError([Diagnostic("BadPlan", message)])
+
+
+def _plan_number(value, where: str, positive=False) -> None:
+    """Require a finite JSON number, strictly positive when asked."""
+    try:
+        v = _as_real(value, where)
+    except ConfigValidationError:
+        v = math.nan
+    if not math.isfinite(v) or (positive and v <= 0):
+        raise _bad_plan(f"{where} must be a finite{' positive' if positive else ''} "
+                        f"number, got {value!r}")
+
+
+def _plan_int(value, where: str, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise _bad_plan(f"{where} must be an integer >= {least}, got {value!r}")
+
+
+def _check_plan(plan) -> None:
+    """The verification plan read by ``check`` and ``evolve``: known keys
+    only, each of the type ``verification.verify`` expects."""
+    if not isinstance(plan, dict):
+        raise _bad_plan(f"verification must be an object, got {plan!r}")
+    known = {"window", "residual_n", "h", "boundary_L", "dps", "gates", "evolution"}
+    unknown = sorted(set(plan) - known)
+    if unknown:
+        raise _bad_plan(f"verification has unknown keys {unknown}")
+    where = "verification."
+    if "window" in plan:
+        window = plan["window"]
+        if not isinstance(window, list) or len(window) != 4:
+            raise _bad_plan(f"{where}window must be [x_min, x_max, t_min, t_max], "
+                            f"got {window!r}")
+        for v in window:
+            _plan_number(v, f"{where}window")
+    if "residual_n" in plan:
+        _plan_int(plan["residual_n"], f"{where}residual_n", 2)
+    for key in ("h", "boundary_L"):
+        if key in plan:
+            _plan_number(plan[key], where + key, positive=True)
+    if "dps" in plan:
+        _plan_int(plan["dps"], f"{where}dps", 1)
+    gates = plan.get("gates", {})
+    if not isinstance(gates, dict) or set(gates) - set(DEFAULT_GATES):
+        raise _bad_plan(f"{where}gates must map some of {sorted(DEFAULT_GATES)} "
+                        f"to numbers, got {gates!r}")
+    for key, v in gates.items():
+        _plan_number(v, f"{where}gates.{key}")
+    evo = plan.get("evolution", True)
+    if isinstance(evo, bool):
+        return
+    evo_keys = {"L", "M", "dt", "t0", "t1"}
+    if not isinstance(evo, dict) or set(evo) - evo_keys:
+        raise _bad_plan(f"{where}evolution must be true, false or an object with "
+                        f"keys among {sorted(evo_keys)}, got {evo!r}")
+    for key, v in evo.items():
+        if key == "M":
+            _plan_int(v, f"{where}evolution.M", 2)
+        else:
+            _plan_number(v, f"{where}evolution.{key}")
+    try:
+        EvolutionSetup(**evo).require_valid()
+    except (ValueError, NonPowerOfTwo) as exc:
+        raise _bad_plan(f"{where}evolution: {exc}") from None
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigValidationError([Diagnostic("MissingKey", f"{where} is missing")])
@@ -121,10 +190,10 @@ def load_config(path) -> RunConfig:
         raise ConfigValidationError([Diagnostic(
             "ConfigShape", "config must be a JSON object")])
     problems = []
-    if raw.get("schema") != SCHEMA_VERSION:
+    schema = raw.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # a bool is no schema
         problems.append(Diagnostic(
-            "SchemaVersion",
-            f"expected \"schema\": {SCHEMA_VERSION}, got {raw.get('schema')!r}"))
+            "SchemaVersion", f"expected \"schema\": {SCHEMA_VERSION}, got {schema!r}"))
     order_name = raw.get("pole_order")
     try:
         order = PoleOrder(order_name)
@@ -168,11 +237,13 @@ def load_config(path) -> RunConfig:
             or Path(name).name != name):
         raise ConfigValidationError([Diagnostic(
             "BadName", f"name must be a plain file name, got {name!r}")])
+    plan = raw.get("verification", {})
+    _check_plan(plan)
     return RunConfig(
         cfg=cfg,
         grid=grid,
         name=name,
-        verification=raw.get("verification", {}),
+        verification=plan,
         uncertain=bool(raw.get("uncertain", False)),
     )
 

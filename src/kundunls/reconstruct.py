@@ -3,9 +3,10 @@
 A pole module supplies ``build(orbit, x, t, ctx)`` returning ``(rows, rhs,
 r)``: the column-scaled system A y = b at one point and the reconstruction
 row r, so that q = q_minus - s i r^T A^{-1} b with s the convention's
-reconstruction sign.  This module owns the column scaling, the LU solve
-route, the bordered-determinant route (kept a separate code path), the
-near-singularity check and the per-point flags.
+reconstruction sign.  This module owns the column scaling, the scalar LU
+solve route, the batched float route for grid rows, the bordered-determinant
+route (kept a separate code path), the near-singularity check and the
+per-point flags.
 
 The exponential weights are carried in log form and each column is rescaled
 by exp(-max(Re log w_j, 0)), so fields stay evaluable far out on the
@@ -15,12 +16,16 @@ factors cancel in the reconstruction.
 
 import warnings
 
+import numpy
+
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
 from .spectrum import SIGN_CONVENTIONS, OrbitTable
 from .uniformization import SpectralPoint, theta
 
 COND_WARN_THRESHOLD = 1e8
+
+_SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 
 
 def log_weights(orbit: OrbitTable, x, t, ctx):
@@ -30,25 +35,20 @@ def log_weights(orbit: OrbitTable, x, t, ctx):
             for a, zh in zip(orbit.A_minus_xihat, orbit.xi_hat)]
 
 
+def _shift(lw):
+    """max(Re lw, 0); over an array, NaN where lw is not finite, so that the
+    point's column, and with it its flag, becomes non-finite."""
+    if isinstance(lw, numpy.ndarray):
+        return numpy.where(numpy.isfinite(lw), numpy.maximum(lw.real, 0.0), numpy.nan)
+    return max(float(lw.real), 0.0)
+
+
 def column_weights(orbit: OrbitTable, x, t, ctx, scaled=True):
     """(w_j e^{-m_j}, e^{-m_j}) with m_j = max(Re log w_j, 0), or m_j = 0."""
     logw = log_weights(orbit, x, t, ctx)
-    shifts = [max(_mathctx.real_of(lw), 0.0) if scaled else 0.0 for lw in logw]
+    shifts = [_shift(lw) if scaled else 0.0 for lw in logw]
     return ([ctx.exp(lw - m) for lw, m in zip(logw, shifts)],
             [ctx.exp(ctx.convert(-m)) for m in shifts])
-
-
-def _solve(build, orbit: OrbitTable, x, t, ctx, want_cond):
-    """Solve route; returns (q, condition number or None)."""
-    qm = ctx.convert(orbit.q_minus)
-    if not orbit.xi:
-        return qm, 1.0
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
-    rows, rhs, r = build(orbit, x, t, ctx)
-    fac = linalg.lu_factor(rows)
-    y = fac.solve(rhs)
-    q = qm - rec_sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
-    return q, (linalg.cond_estimate(rows, fac) if want_cond else None)
 
 
 def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):
@@ -71,23 +71,81 @@ def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FL
 
 def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
                check_condition=True):
-    """Scattering-side field q(x, t); warns when the system is near singular."""
+    """Scattering-side field q(x, t) under any context, by the generic LU;
+    warns when the system is near singular."""
+    qm = ctx.convert(orbit.q_minus)
+    if not orbit.xi:
+        return qm
+    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
+    rows, rhs, r = build(orbit, x, t, ctx)
     try:
-        q, cond = _solve(build, orbit, x, t, ctx, check_condition)
+        fac = linalg.lu_factor(rows)
     except SingularMatrix as exc:
         raise SingularMatrix(f"singular system at (x={x}, t={t}): {exc}") from exc
-    if check_condition and cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"condition number {cond:.2e} at (x={x}, t={t})", NearSingularWarning
-        )
+    y = fac.solve(rhs)
+    q = qm - rec_sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
+    if check_condition:
+        cond = linalg.cond_estimate(rows, fac)
+        if cond > COND_WARN_THRESHOLD:
+            warnings.warn(
+                f"condition number {cond:.2e} at (x={x}, t={t})", NearSingularWarning)
     return q
 
 
+def _columns(values, p):
+    """(P, len(values)) array from a list of scalars and (P,) arrays."""
+    out = numpy.empty((p, len(values)), dtype=complex)
+    for j, value in enumerate(values):
+        out[:, j] = value
+    return out
+
+
+def sample_row(build, orbit: OrbitTable, xs, t: float):
+    """[(q, flag, cond)] at every (x, t), x in xs, without raising.
+
+    The float systems of the whole row are built as one (P, n, n) stack and
+    inverted by one numpy call; each point is factorized once, and from its
+    inverse come both q = q_minus - s i r^T A^{-1} b and the exact 1-norm
+    condition number ||A||_1 ||A^{-1}||_1.  A point is flagged singular when
+    its weights, matrix, condition number or q are not finite, or its matrix
+    is exactly singular.  Every point's arithmetic is its own, so a row gives
+    the same bits as its points one at a time.
+    """
+    xs = numpy.asarray(xs, dtype=float)
+    p = len(xs)
+    if not orbit.xi:
+        return [(complex(orbit.q_minus), "ok", 1.0)] * p
+    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
+    with numpy.errstate(all="ignore"):
+        try:
+            rows, rhs, r = build(orbit, xs, t, _mathctx.NUMPY)
+        except (ArithmeticError, ValueError):
+            # only x-independent scalar arithmetic can raise here: a weight or
+            # pole that left double range takes every point of the row with it
+            return [_SINGULAR] * p
+        a = numpy.stack([_columns(row, p) for row in rows], axis=1)
+        b = _columns(rhs, p)
+        rvec = _columns(r, p)
+        bad = ~(numpy.isfinite(a).all(axis=(1, 2)) & numpy.isfinite(b).all(axis=1)
+                & numpy.isfinite(rvec).all(axis=1))
+        a[bad] = numpy.eye(len(rows))
+        try:
+            inv = numpy.linalg.inv(a)
+        except numpy.linalg.LinAlgError:
+            if p == 1:
+                return [_SINGULAR]
+            # an exactly singular matrix fails the whole stack; isolate it
+            return [sample_row(build, orbit, [x], t)[0] for x in xs]
+        cond = (numpy.abs(a).sum(axis=1).max(axis=1)
+                * numpy.abs(inv).sum(axis=1).max(axis=1))
+        y = (inv @ b[:, :, None])[:, :, 0]
+        q = complex(orbit.q_minus) - rec_sign * 1j * (rvec * y).sum(axis=1)
+    bad |= ~(numpy.isfinite(cond) & numpy.isfinite(q))
+    return [_SINGULAR if bad_k else
+            (q_k, "near_singular" if cond_k > COND_WARN_THRESHOLD else "ok", cond_k)
+            for q_k, cond_k, bad_k in zip(q.tolist(), cond.tolist(), bad.tolist())]
+
+
 def point_sample(build, orbit: OrbitTable, x: float, t: float):
-    """(q, flag, cond) without raising; used by grid evaluation."""
-    try:
-        q, cond = _solve(build, orbit, x, t, _mathctx.FLOAT, True)
-    except (SingularMatrix, ArithmeticError, ValueError):
-        # a pivot underflowed, or a weight or pole left double range
-        return complex("nan+nanj"), "singular", float("inf")
-    return q, ("near_singular" if cond > COND_WARN_THRESHOLD else "ok"), cond
+    """(q, flag, cond) at one point without raising: a one-point row."""
+    return sample_row(build, orbit, [x], t)[0]

@@ -42,6 +42,10 @@ class EvolutionSetup:
             raise ValueError("L and dt must be positive")
         if self.M < 2 or self.M & (self.M - 1):
             raise NonPowerOfTwo(f"M = {self.M} is not a power of two")
+        span = self.t1 - self.t0
+        steps = span / self.dt
+        if not math.isfinite(steps) or abs(round(steps) * self.dt - span) > 1e-9:
+            raise ValueError("evolution span must be an integer number of steps")
 
 
 @dataclass
@@ -149,8 +153,6 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     kappa = 2 * np.pi * np.fft.fftfreq(setup.M, d=dx)
     linear_phase = np.exp(-1j * kappa ** 2 * setup.dt)
     n_steps = round((setup.t1 - setup.t0) / setup.dt)
-    if abs(n_steps * setup.dt - (setup.t1 - setup.t0)) > 1e-9:
-        raise ValueError("evolution span must be an integer number of steps")
 
     def half_nonlinear(arr):
         return arr * np.exp(2j * (np.abs(arr) ** 2 - Q0 ** 2) * (setup.dt / 2))

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kundunls import fields, io
+from kundunls import io
 from kundunls.cli import main
 from kundunls.errors import ConfigParseError, ConfigValidationError, KunduNLSError
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
@@ -152,6 +154,13 @@ def test_cli_construct_writes_artifacts(tmp_path):
     assert header.startswith(b"P5\n121 61\n255\n")
 
 
+def test_cli_construct_reports_flags_by_kind(tmp_path):
+    result = CliRunner().invoke(main, ["construct", "fig7d", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert ("warning: 3321 grid points flagged (3321 near_singular, 0 singular)"
+            in result.output)
+
+
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("NZBC_THREADS", "2")
     r1 = CliRunner().invoke(main, ["construct", "fig3c", "--out",
@@ -218,59 +227,53 @@ def _edited(raw, path, value):
     (("q_minus",), [1e200, 0.0], "Unrepresentable"),
     (("eigenvalues", 0, "z"), [0.0, 5e-324], "Unrepresentable"),
     ((), [], "ConfigShape"),
+    (("schema",), True, "SchemaVersion"),
+    (("verification",), {"evolution": {"bogus": 1}}, "BadPlan"),
+    (("verification",), {"window": 5}, "BadPlan"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
         "no-A_plus", "eigenvalues-object", "string-epsilon",
         "numeric-string-epsilon", "grid-list", "reversed-x", "string-nx",
         "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
-        "top-level-list"])
+        "top-level-list", "bool-schema", "plan-unknown-evolution-key",
+        "plan-scalar-window"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_edited(raw, path, value)))
-    result = CliRunner().invoke(main, ["construct", str(bad),
-                                       "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # no traceback
-    assert f"{code}:" in result.output
+    for args in (["construct", str(bad), "--out", str(tmp_path / "out")],
+                 ["check", str(bad)], ["evolve", str(bad)]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, args
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"{code}:" in result.output
 
 
-def test_threads_capped_at_cores_and_rows(tmp_path, monkeypatch):
-    made = []
+def test_threads_start_no_worker_process(tmp_path, monkeypatch):
+    """Any thread count evaluates in this process and writes the same bytes."""
+    def refuse(*args):
+        raise AssertionError("a worker process was started")
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(fields, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(fields.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw["grid"].update(nx=7, nt=5)
     cfg = tmp_path / "small.json"
-    raw["grid"].update(nx=3, nt=5)
     cfg.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["construct", str(cfg), "--threads", "64",
-                                       "--out", str(tmp_path / "a")])
-    assert result.exit_code == 0, result.output
-    monkeypatch.setenv("NZBC_THREADS", "64")
-    raw["grid"]["nt"] = 3
-    cfg.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["construct", str(cfg),
-                                       "--out", str(tmp_path / "b")])
-    assert result.exit_code == 0, result.output
-    assert made == [4, 3]
+    outputs = []
+    for flag, env in ((["--threads", "1"], None), (["--threads", "64"], None),
+                      ([], "64")):
+        if env is None:
+            monkeypatch.delenv("NZBC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NZBC_THREADS", env)
+        out = tmp_path / f"out{len(outputs)}"
+        result = CliRunner().invoke(main, ["construct", str(cfg), "--out", str(out)] + flag)
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / f"fig2a.{ext}").read_bytes() for ext in ("csv", "json", "pgm")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def _key_paths(obj, prefix=()):
