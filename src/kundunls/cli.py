@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -46,22 +47,6 @@ def _load(config):
             hint = f" [{d.hint}]" if d.hint else ""
             click.echo(f"  {d.code}: {d.message}{hint}", err=True)
         sys.exit(1)
-
-
-def _plan_from(run: io.RunConfig, sign_convention: str) -> dict:
-    v = dict(run.verification)
-    plan = {"convention": sign_convention}
-    if "window" in v:
-        plan["window"] = tuple(v["window"])
-    for key in ("residual_n", "h", "boundary_L", "dps", "gates"):
-        if key in v:
-            plan[key] = v[key]
-    evo = v.get("evolution", True)
-    if evo is False:
-        plan["evolution"] = None
-    elif isinstance(evo, dict):
-        plan["evolution"] = EvolutionSetup(**evo)
-    return plan
 
 
 sign_option = click.option(
@@ -124,7 +109,7 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
 def check(config, sign_convention):
     """Run the verification battery and print the report as JSON."""
     run = _load(config)
-    report = verification.verify(run.cfg, plan=_plan_from(run, sign_convention))
+    report = verification.verify(run.cfg, plan=run.plan, convention=sign_convention)
     payload = report.to_dict()
     payload["config"] = run.name
     if run.uncertain and not report.passed:
@@ -142,21 +127,15 @@ def check(config, sign_convention):
 def evolve(config, sign_convention):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
     run = _load(config)
-    plan = _plan_from(run, sign_convention)
-    setup = plan.get("evolution") or EvolutionSetup()
-    convention = sign_convention
-    payload = {"config": run.name,
-               "setup": {"L": setup.L, "M": setup.M, "dt": setup.dt,
-                         "t0": setup.t0, "t1": setup.t1}}
-    try:
-        err = verification.evolution_cross_check(run.cfg, setup, convention)
+    setup = run.plan.evolution or EvolutionSetup()
+    err, reason = verification.evolution_step(run.cfg, setup, sign_convention)
+    payload = {"config": run.name, "setup": asdict(setup)}
+    if reason is None:
         payload["linf_error"] = err
-        ok = err < verification.DEFAULT_GATES["evolution"]
-    except KunduNLSError as exc:
-        payload["not_applicable"] = f"{type(exc).__name__}: {exc}"
-        ok = True
+    else:
+        payload["not_applicable"] = reason
     click.echo(json.dumps(payload, indent=2))
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if reason or err < run.plan.gates["evolution"] else 1)
 
 
 @main.command()

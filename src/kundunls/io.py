@@ -8,14 +8,14 @@ NetPBM, so golden-file tests can compare raw bytes.
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigParseError, ConfigValidationError, Diagnostic, NonPowerOfTwo
 from .fields import FieldGrid
 from .spectrum import (EigenEntry, PoleOrder, SpectralConfig, validate)
-from .verification import DEFAULT_GATES, EvolutionSetup
+from .verification import DEFAULT_GATES, EvolutionSetup, Plan
 
 SCHEMA_VERSION = 1
 
@@ -29,7 +29,7 @@ class RunConfig:
     cfg: SpectralConfig
     grid: dict
     name: str = ""
-    verification: dict = field(default_factory=dict)
+    plan: Plan = field(default_factory=Plan)
     uncertain: bool = False
 
 
@@ -103,16 +103,16 @@ def _plan_int(value, where: str, least: int) -> None:
         raise _bad_plan(f"{where} must be an integer >= {least}, got {value!r}")
 
 
-def _check_plan(plan) -> None:
-    """The verification plan read by ``check`` and ``evolve``: known keys
-    only, each of the type ``verification.verify`` expects."""
+def _read_plan(plan) -> Plan:
+    """The verification object as a ``Plan``: only the Plan's fields, each of
+    the type it holds; a missing key keeps the field's default."""
     if not isinstance(plan, dict):
         raise _bad_plan(f"verification must be an object, got {plan!r}")
-    known = {"window", "residual_n", "h", "boundary_L", "dps", "gates", "evolution"}
-    unknown = sorted(set(plan) - known)
+    unknown = sorted(set(plan) - {f.name for f in fields(Plan)})
     if unknown:
         raise _bad_plan(f"verification has unknown keys {unknown}")
     where = "verification."
+    read = dict(plan)
     if "window" in plan:
         window = plan["window"]
         if not isinstance(window, list) or len(window) != 4:
@@ -120,6 +120,7 @@ def _check_plan(plan) -> None:
                             f"got {window!r}")
         for v in window:
             _plan_number(v, f"{where}window")
+        read["window"] = tuple(window)
     if "residual_n" in plan:
         _plan_int(plan["residual_n"], f"{where}residual_n", 2)
     for key in ("h", "boundary_L"):
@@ -133,10 +134,16 @@ def _check_plan(plan) -> None:
                         f"to numbers, got {gates!r}")
     for key, v in gates.items():
         _plan_number(v, f"{where}gates.{key}")
-    evo = plan.get("evolution", True)
+    read["gates"] = {**DEFAULT_GATES, **gates}
+    read["evolution"] = _read_evolution(plan.get("evolution", True), where)
+    return Plan(**read)
+
+
+def _read_evolution(evo, where: str) -> EvolutionSetup | None:
+    """true (the default setup), false (None) or an object of setup fields."""
     if isinstance(evo, bool):
-        return
-    evo_keys = {"L", "M", "dt", "t0", "t1"}
+        return EvolutionSetup() if evo else None
+    evo_keys = {f.name for f in fields(EvolutionSetup)}
     if not isinstance(evo, dict) or set(evo) - evo_keys:
         raise _bad_plan(f"{where}evolution must be true, false or an object with "
                         f"keys among {sorted(evo_keys)}, got {evo!r}")
@@ -145,10 +152,12 @@ def _check_plan(plan) -> None:
             _plan_int(v, f"{where}evolution.M", 2)
         else:
             _plan_number(v, f"{where}evolution.{key}")
+    setup = EvolutionSetup(**evo)
     try:
-        EvolutionSetup(**evo).require_valid()
+        setup.require_valid()
     except (ValueError, NonPowerOfTwo) as exc:
         raise _bad_plan(f"{where}evolution: {exc}") from None
+    return setup
 
 
 def _require(obj: dict, key: str, where: str):
@@ -237,14 +246,16 @@ def load_config(path) -> RunConfig:
             or Path(name).name != name):
         raise ConfigValidationError([Diagnostic(
             "BadName", f"name must be a plain file name, got {name!r}")])
-    plan = raw.get("verification", {})
-    _check_plan(plan)
+    uncertain = raw.get("uncertain", False)
+    if not isinstance(uncertain, bool):
+        raise ConfigValidationError([Diagnostic(
+            "BadFlag", f"uncertain must be true or false, got {uncertain!r}")])
     return RunConfig(
         cfg=cfg,
         grid=grid,
         name=name,
-        verification=plan,
-        uncertain=bool(raw.get("uncertain", False)),
+        plan=_read_plan(raw.get("verification", {})),
+        uncertain=uncertain,
     )
 
 

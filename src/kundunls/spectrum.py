@@ -157,30 +157,26 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
     qm = conv(cfg.q_minus)
     q0sq = abs(cfg.q_minus) ** 2
     zs = [conv(z) for z in cz]
-    As = [conv(e.A_plus) for e in cfg.eigenvalues]
     n_eigs = len(zs)
 
     xi = [*zs, *(-q0sq / z.conjugate() for z in zs)]
     xi_hat = [-q0sq / x for x in xi]
 
+    double = cfg.pole_order is PoleOrder.DOUBLE
     a_plus, a_minus = [None] * (2 * n_eigs), [None] * (2 * n_eigs)
-    b_plus, b_minus = [], []
-    if cfg.pole_order is PoleOrder.SIMPLE:
-        for n, (z, a) in enumerate(zip(zs, As)):
-            ratio = qm * qm / (z * z)
-            a_plus[n] = a
-            a_minus[n] = sym_sign * ratio * a
-            a_minus[n_eigs + n] = -a.conjugate()
-            a_plus[n_eigs + n] = -sym_sign * (ratio * a).conjugate()
-    else:
-        Bs = [conv(e.B_plus) for e in cfg.eigenvalues]
-        b_plus, b_minus = [None] * (2 * n_eigs), [None] * (2 * n_eigs)
-        for n, (z, a, b) in enumerate(zip(zs, As, Bs)):
+    b_plus, b_minus = ([None] * (2 * n_eigs), [None] * (2 * n_eigs)) if double else ([], [])
+    for n, (z, e) in enumerate(zip(zs, cfg.eigenvalues)):
+        a = conv(e.A_plus)
+        if double:
             ratio = (q0sq * q0sq) * qm / (z ** 4 * qm.conjugate())
-            a_plus[n] = a
-            a_minus[n] = sym_sign * ratio * a
-            a_minus[n_eigs + n] = -a.conjugate()
-            a_plus[n_eigs + n] = -sym_sign * (ratio * a).conjugate()
+        else:
+            ratio = qm * qm / (z * z)
+        a_plus[n] = a
+        a_minus[n] = sym_sign * ratio * a
+        a_minus[n_eigs + n] = -a.conjugate()
+        a_plus[n_eigs + n] = -sym_sign * (ratio * a).conjugate()
+        if double:
+            b = conv(e.B_plus)
             bshift = (z * z / q0sq) * (b - 2 / z)
             b_plus[n] = b
             b_minus[n] = bshift

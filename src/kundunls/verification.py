@@ -8,7 +8,7 @@ three at once would have to be a genuine solution.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ PERIODIC_GATE = 1e-8
 DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionSetup:
     """Periodic window and stepping for the split-step cross-check."""
 
@@ -48,17 +48,36 @@ class EvolutionSetup:
             raise ValueError("evolution span must be an integer number of steps")
 
 
+@dataclass(frozen=True)
+class Plan:
+    """How ``check`` verifies a config and how ``evolve`` steps it: the
+    config's ``verification`` object, each missing key at its default.
+
+    ``boundary_L`` None means ``boundary_window(orbit)``; ``gates`` holds all
+    of ``DEFAULT_GATES``, overridden where the config names one;
+    ``evolution`` None disables the split-step check in ``check``.
+    """
+
+    window: tuple = (-5.0, 5.0, -3.0, 3.0)
+    residual_n: int = 21
+    h: float = 1e-3
+    boundary_L: float | None = None
+    dps: int = RESIDUAL_DPS
+    gates: dict = field(default_factory=lambda: dict(DEFAULT_GATES))
+    evolution: EvolutionSetup | None = EvolutionSetup()
+
+
 @dataclass
 class VerificationReport:
     residual_max: float
     residual_grid_spec: str
-    boundary_errors: tuple
+    boundary_errors: list
     theta_ok: bool
     convention_sign: str
-    evolution_linf_error: float | None = None
-    evolution_reason: str | None = None
-    warnings: list = field(default_factory=list)
-    gates: dict = field(default_factory=lambda: dict(DEFAULT_GATES))
+    evolution_linf_error: float | None
+    evolution_reason: str | None
+    warnings: list
+    gates: dict
 
     @property
     def passed(self) -> bool:
@@ -72,18 +91,7 @@ class VerificationReport:
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {
-            "residual_max": self.residual_max,
-            "residual_grid_spec": self.residual_grid_spec,
-            "boundary_errors": list(self.boundary_errors),
-            "theta_ok": self.theta_ok,
-            "convention_sign": self.convention_sign,
-            "evolution_linf_error": self.evolution_linf_error,
-            "evolution_reason": self.evolution_reason,
-            "warnings": list(self.warnings),
-            "gates": dict(self.gates),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
@@ -200,6 +208,19 @@ def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
     return float(np.max(np.abs(q_final - q_exact)))
 
 
+def evolution_step(cfg: SpectralConfig, setup: EvolutionSetup | None,
+                   convention: str = "auto"):
+    """(error, None) of ``evolution_cross_check``, or (None, reason) when the
+    check does not apply: ``setup`` is None, or the field does not fit a
+    periodic window."""
+    if setup is None:
+        return None, "disabled by plan"
+    try:
+        return evolution_cross_check(cfg, setup, convention), None
+    except PeriodicIncompatible as exc:
+        return None, f"PeriodicIncompatible: {exc}"
+
+
 def boundary_errors(cfg: SpectralConfig, convention: str = "auto",
                     L: float = 30.0, t: float = 0.0):
     """(|q(-L) - q_minus|, |q(+L) - q_plus|)."""
@@ -235,15 +256,9 @@ def boundary_window(orbit) -> float:
     return min(max(30.0, 20 / rate if rate > 0 else math.inf), 250.0)
 
 
-def verify(cfg: SpectralConfig, plan: dict | None = None) -> VerificationReport:
-    """Run the full independent-check battery and report.
-
-    plan keys (all optional): window, residual_n, h, boundary_L (default
-    ``boundary_window``), evolution (EvolutionSetup or None to skip),
-    convention, dps.
-    """
-    plan = dict(plan or {})
-    convention = plan.get("convention", "auto")
+def verify(cfg: SpectralConfig, plan: Plan = Plan(),
+           convention: str = "auto") -> VerificationReport:
+    """Run the full independent-check battery of ``plan`` and report."""
     warnings_list = []
 
     if convention == "auto" and cfg.N > 0:
@@ -257,43 +272,29 @@ def verify(cfg: SpectralConfig, plan: dict | None = None) -> VerificationReport:
     elif convention == "auto":
         convention = "a"
 
-    window = plan.get("window", (-5.0, 5.0, -3.0, 3.0))
-    n = plan.get("residual_n", 21)
-    h = plan.get("h", 1e-3)
+    window, n, h = plan.window, plan.residual_n, plan.h
     residual_max = residual_sweep(cfg, window, n=n, h=h, convention=convention,
-                                  dps=plan.get("dps", RESIDUAL_DPS))
+                                  dps=plan.dps)
     grid_spec = (f"{n}x{n} grid on x in [{window[0]}, {window[1]}], "
                  f"t in [{window[2]}, {window[3]}], h={h}")
 
     orbit = derive_orbit(cfg, convention)
-    L = plan["boundary_L"] if "boundary_L" in plan else boundary_window(orbit)
+    L = boundary_window(orbit) if plan.boundary_L is None else plan.boundary_L
     b_errs = boundary_errors(cfg, convention, L=L)
 
     theta_diag = scattering.check_theta_condition(orbit)
     if not theta_diag.ok:
         warnings_list.append(theta_diag.message)
 
-    evo_err = None
-    evo_reason = None
-    setup = plan.get("evolution", EvolutionSetup())
-    if setup is None:
-        evo_reason = "disabled by plan"
-    else:
-        try:
-            evo_err = evolution_cross_check(cfg, setup, convention)
-        except PeriodicIncompatible as exc:
-            evo_reason = f"PeriodicIncompatible: {exc}"
-
-    gates = dict(DEFAULT_GATES)
-    gates.update(plan.get("gates", {}))
+    evo_err, evo_reason = evolution_step(cfg, plan.evolution, convention)
     return VerificationReport(
-        gates=gates,
         residual_max=residual_max,
         residual_grid_spec=grid_spec,
-        boundary_errors=b_errs,
+        boundary_errors=list(b_errs),
         theta_ok=theta_diag.ok,
         convention_sign=convention,
         evolution_linf_error=evo_err,
         evolution_reason=evo_reason,
         warnings=warnings_list,
+        gates=plan.gates,
     )

@@ -13,6 +13,7 @@ from kundunls.cli import main
 from kundunls.errors import ConfigParseError, ConfigValidationError, KunduNLSError
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import PoleOrder, derive_orbit
+from kundunls.verification import Plan
 
 
 def one_point_grid():
@@ -230,6 +231,7 @@ def _edited(raw, path, value):
     (("schema",), True, "SchemaVersion"),
     (("verification",), {"evolution": {"bogus": 1}}, "BadPlan"),
     (("verification",), {"window": 5}, "BadPlan"),
+    (("uncertain",), "no", "BadFlag"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
         "no-A_plus", "eigenvalues-object", "string-epsilon",
@@ -237,7 +239,7 @@ def _edited(raw, path, value):
         "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
-        "plan-scalar-window"])
+        "plan-scalar-window", "string-uncertain"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
@@ -249,6 +251,35 @@ def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, cod
         assert result.exit_code == 1, args
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"{code}:" in result.output
+
+
+def _small_fig2a(tmp_path, **top):
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw["grid"].update(nx=5, nt=3)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(dict(raw, **top)))
+    return path
+
+
+@pytest.mark.parametrize("gate, code", [(1.0, 0), (1e-12, 1)])
+def test_check_and_evolve_share_the_evolution_gate(tmp_path, gate, code):
+    """400 steps of dt 0.01 on fig2a leave an error of about 0.05: both commands
+    judge it by the plan's gate, not by the default 1e-5."""
+    cfg = _small_fig2a(tmp_path, verification={
+        "gates": {"evolution": gate}, "evolution": {"dt": 0.01},
+        "residual_n": 2, "dps": 20})
+    check = CliRunner().invoke(main, ["check", str(cfg)])
+    evolve = CliRunner().invoke(main, ["evolve", str(cfg)])
+    err = json.loads(evolve.output)["linf_error"]
+    assert json.loads(check.output)["evolution_linf_error"] == err
+    assert 1e-5 < err < 1.0
+    assert (check.exit_code, evolve.exit_code) == (code, code)
+
+
+def test_config_without_plan_reads_the_default_plan(tmp_path):
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    assert "verification" not in raw
+    assert io.load_config(_small_fig2a(tmp_path)).plan == Plan()
 
 
 def test_threads_start_no_worker_process(tmp_path, monkeypatch):
@@ -286,6 +317,9 @@ def _key_paths(obj, prefix=()):
 
 SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
 SMALL_FIG2A["grid"].update(nx=5, nt=3)
+SMALL_FIG2A.update(uncertain=False, verification={
+    "window": [-1, 1, -1, 1], "gates": {"evolution": 1e-5},
+    "evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)
@@ -302,8 +336,9 @@ EDITS = st.lists(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(EDITS)
 def test_mutated_config_never_escapes_as_traceback(tmp_path, edits):
-    """Up to three edits at random key paths of a 5x3 fig2a; integers stay
-    <= 5, so grids do too."""
+    """Up to three edits at random key paths of a 5x3 fig2a with a
+    verification plan and an uncertain flag; integers stay <= 5, so grids do
+    too."""
     raw = json.loads(json.dumps(SMALL_FIG2A))
     for path, value in edits:
         try:

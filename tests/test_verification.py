@@ -7,7 +7,7 @@ import pytest
 from kundunls import io
 from kundunls.errors import NonPowerOfTwo, PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
-from kundunls.verification import (EvolutionSetup, boundary_errors, boundary_window,
+from kundunls.verification import (EvolutionSetup, Plan, boundary_errors, boundary_window,
                                    evolution_cross_check, pde_residual,
                                    peak_locations, probe_convention,
                                    renormalized_mass, residual_sweep,
@@ -106,8 +106,8 @@ def test_boundary_window_follows_slowest_tail(fig2a, fig4a):
     assert boundary_window(derive_orbit(fig2a, "a")) == 30.0
     assert boundary_window(derive_orbit(fig4a, "a")) == pytest.approx(40.0)
     assert boundary_window(derive_orbit(io.load_config("fig3a").cfg, "a")) == 250.0
-    report = verify(fig4a, plan={"residual_n": 3, "window": (-1, 1, -1, 1),
-                                 "evolution": None})
+    report = verify(fig4a, plan=Plan(residual_n=3, window=(-1, 1, -1, 1),
+                                      evolution=None))
     assert max(report.boundary_errors) < 1e-6 and report.passed
 
 
@@ -120,24 +120,26 @@ def test_peak_refinement_quadratic():
 
 
 def test_verify_background_config(background_only):
-    report = verify(background_only,
-                    plan={"residual_n": 3, "evolution": None})
+    report = verify(background_only, plan=Plan(residual_n=3, evolution=None))
     assert report.residual_max == 0
     assert report.passed
     assert report.evolution_reason == "disabled by plan"
 
 
 def test_verify_fig4a_marks_evolution_not_applicable(fig4a):
-    report = verify(fig4a, plan={"residual_n": 3, "window": (-1, 1, -1, 1),
-                                 "evolution": EvolutionSetup(M=256, dt=1e-2)})
+    report = verify(fig4a, plan=Plan(residual_n=3, window=(-1, 1, -1, 1),
+                                      evolution=EvolutionSetup(M=256, dt=1e-2)))
     assert report.evolution_linf_error is None
     assert "PeriodicIncompatible" in report.evolution_reason
     assert report.residual_max < 1e-6
 
 
 def test_report_serializes(background_only):
-    report = verify(background_only, plan={"residual_n": 3, "evolution": None})
+    report = verify(background_only, plan=Plan(residual_n=3, evolution=None))
     d = report.to_dict()
     assert d["passed"] is True
     assert d["convention_sign"] in ("a", "b")
     assert isinstance(d["boundary_errors"], list)
+    assert list(d) == ["residual_max", "residual_grid_spec", "boundary_errors",
+                       "theta_ok", "convention_sign", "evolution_linf_error",
+                       "evolution_reason", "warnings", "gates", "passed"]
