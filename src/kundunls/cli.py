@@ -29,6 +29,15 @@ def _resolve_threads(threads):
     return 1
 
 
+def _or_exit(fn, *args, **kwargs):
+    """fn(*args, **kwargs); a package error prints ``error: ...`` and exits 1."""
+    try:
+        return fn(*args, **kwargs)
+    except KunduNLSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+
+
 def _load(config):
     try:
         return io.load_config(config)
@@ -78,11 +87,7 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
     run = _load(config)
     _resolve_threads(threads)  # still checked, though output never depends on it
-    try:
-        orbit = derive_orbit(run.cfg, sign_convention)
-    except KunduNLSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
@@ -109,7 +114,8 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
 def check(config, sign_convention):
     """Run the verification battery and print the report as JSON."""
     run = _load(config)
-    report = verification.verify(run.cfg, plan=run.plan, convention=sign_convention)
+    report = _or_exit(verification.verify, run.cfg, plan=run.plan,
+                      convention=sign_convention)
     payload = report.to_dict()
     payload["config"] = run.name
     if run.uncertain and not report.passed:
@@ -128,7 +134,7 @@ def evolve(config, sign_convention):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
     run = _load(config)
     setup = run.plan.evolution or EvolutionSetup()
-    err, reason = verification.evolution_step(run.cfg, setup, sign_convention)
+    err, reason = _or_exit(verification.evolution_step, run.cfg, setup, sign_convention)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:
         payload["linf_error"] = err
@@ -145,11 +151,7 @@ def evolve(config, sign_convention):
 def audit(config, sign_convention, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
     run = _load(config)
-    try:
-        orbit = derive_orbit(run.cfg, sign_convention)
-    except KunduNLSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
     diags = [scattering.check_theta_condition(orbit)]
     diags += scattering.check_symmetries(orbit)
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _mathctx, scattering
-from .errors import (NonPowerOfTwo, PeriodicIncompatible,
+from .errors import (NonPowerOfTwo, PeriodicIncompatible, SingularMatrix,
                      StencilEvaluationFailure)
 from .fields import POLE_MODULES
 from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
@@ -42,6 +42,8 @@ class EvolutionSetup:
             raise ValueError("L and dt must be positive")
         if self.M < 2 or self.M & (self.M - 1):
             raise NonPowerOfTwo(f"M = {self.M} is not a power of two")
+        if not self.t1 > self.t0:
+            raise ValueError("evolution span needs t1 > t0")
         span = self.t1 - self.t0
         steps = span / self.dt
         if not math.isfinite(steps) or abs(round(steps) * self.dt - span) > 1e-9:
@@ -138,37 +140,49 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
     xs = [mpf(x_min) + (mpf(x_max) - mpf(x_min)) * i / (n - 1) for i in range(n)]
     ts = [mpf(t_min) + (mpf(t_max) - mpf(t_min)) * i / (n - 1) for i in range(n)]
     hh = mpf(h)
-    worst = 0.0
-    for t in ts:
-        for x in xs:
-            r = pde_residual(evaluator, cfg, x, t, hh, ctx=ctx)
-            worst = max(worst, float(abs(r)))
-    return worst
+    # numpy's max propagates NaN, so a non-finite residual fails the gate
+    return float(np.max([float(abs(pde_residual(evaluator, cfg, x, t, hh, ctx=ctx)))
+                         for t in ts for x in xs]))
 
 
 def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     """Strang-split integration of i q_t + q_xx + 2(|q|^2 - Q0^2) q = 0.
 
-    Periodic on [-L, L); returns the samples at t1.  The nonlinear substep
-    is an exact phase rotation, the linear substep exact per Fourier mode,
-    so the only error is the O(dt^2) splitting error.
+    Periodic on [-L, L); returns the samples at t1 and leaves q0_samples
+    unchanged.  The nonlinear substep is an exact phase rotation by
+    phi = 2 tau (|q|^2 - Q0^2), the linear substep exact per Fourier mode, so
+    the only error is the O(dt^2) splitting error.  Adjacent nonlinear
+    half-steps are fused into one full step, so only the first and the last
+    are halves.
     """
     setup.require_valid()
-    q = np.asarray(q0_samples, dtype=complex)
+    q = np.array(q0_samples, dtype=complex)
     if q.shape != (setup.M,):
         raise ValueError(f"expected {setup.M} samples, got {q.shape}")
     dx = 2 * setup.L / setup.M
     kappa = 2 * np.pi * np.fft.fftfreq(setup.M, d=dx)
     linear_phase = np.exp(-1j * kappa ** 2 * setup.dt)
     n_steps = round((setup.t1 - setup.t0) / setup.dt)
+    phi, imag2 = np.empty(setup.M), np.empty(setup.M)
+    rotation = np.empty(setup.M, dtype=complex)
 
-    def half_nonlinear(arr):
-        return arr * np.exp(2j * (np.abs(arr) ** 2 - Q0 ** 2) * (setup.dt / 2))
+    def nonlinear(q, tau):
+        """q *= cos phi + i sin phi, in place in preallocated buffers."""
+        np.multiply(q.real, q.real, out=phi)
+        np.multiply(q.imag, q.imag, out=imag2)
+        np.add(phi, imag2, out=phi)
+        np.subtract(phi, Q0 ** 2, out=phi)
+        np.multiply(phi, 2 * tau, out=phi)
+        np.cos(phi, out=rotation.real)
+        np.sin(phi, out=rotation.imag)
+        np.multiply(q, rotation, out=q)
 
-    for _ in range(n_steps):
-        q = half_nonlinear(q)
-        q = np.fft.ifft(np.fft.fft(q) * linear_phase)
-        q = half_nonlinear(q)
+    nonlinear(q, setup.dt / 2)
+    for step in range(1, n_steps + 1):
+        spectrum = np.fft.fft(q)
+        spectrum *= linear_phase
+        q = np.fft.ifft(spectrum)
+        nonlinear(q, setup.dt if step < n_steps else setup.dt / 2)
     return q
 
 
@@ -192,20 +206,32 @@ def probe_convention(cfg: SpectralConfig, x: float = 0.3, t: float = 0.7,
 def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
                           convention: str = "auto") -> float:
     """L-inf mismatch between split-step evolution and the exact formula."""
-    evaluator, orbit = _evaluator(cfg, convention)
+    orbit = derive_orbit(cfg, convention)
     if abs(orbit.q_plus - cfg.q_minus) > PERIODIC_GATE:
         raise PeriodicIncompatible(
             f"|q_plus - q_minus| = {abs(orbit.q_plus - cfg.q_minus):.3e} "
             "breaks the periodic window"
         )
     xs = -setup.L + 2 * setup.L * np.arange(setup.M) / setup.M
-    q0 = np.array([evaluator(x, setup.t0) for x in xs])
-    wrap = abs(evaluator(setup.L, setup.t0) - evaluator(-setup.L, setup.t0))
+    # xs[0] is -L, so one more point at +L gives the wrap check
+    q0 = exact_slice(orbit, np.append(xs, setup.L), setup.t0)
+    wrap = abs(q0[-1] - q0[0])
     if wrap > PERIODIC_GATE:
         raise PeriodicIncompatible(f"window mismatch {wrap:.3e} at t0")
-    q_final = split_step_evolve(q0, setup, cfg.Q0)
-    q_exact = np.array([evaluator(x, setup.t1) for x in xs])
+    q_final = split_step_evolve(q0[:-1], setup, cfg.Q0)
+    q_exact = exact_slice(orbit, xs, setup.t1)
     return float(np.max(np.abs(q_final - q_exact)))
+
+
+def exact_slice(orbit, xs, t: float):
+    """q(x, t) at every x in xs by the batched float route; raises
+    SingularMatrix when a point is flagged singular."""
+    row = POLE_MODULES[orbit.cfg.pole_order].sample_row(orbit, xs, t)
+    singular = [x for x, (_, flag, _) in zip(xs, row) if flag == "singular"]
+    if singular:
+        raise SingularMatrix(f"{len(singular)} singular points in the exact slice "
+                             f"at t={t}, first at x={singular[0]}")
+    return np.array([q for q, _, _ in row])
 
 
 def evolution_step(cfg: SpectralConfig, setup: EvolutionSetup | None,

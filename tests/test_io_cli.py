@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kundunls import io
+from kundunls import io, simple_pole
 from kundunls.cli import main
 from kundunls.errors import ConfigParseError, ConfigValidationError, KunduNLSError
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
@@ -231,6 +231,8 @@ def _edited(raw, path, value):
     (("schema",), True, "SchemaVersion"),
     (("verification",), {"evolution": {"bogus": 1}}, "BadPlan"),
     (("verification",), {"window": 5}, "BadPlan"),
+    (("verification",), {"evolution": {"t0": 0.5, "t1": 0.5}}, "BadPlan"),
+    (("verification",), {"evolution": {"t0": 0.5, "t1": -0.5}}, "BadPlan"),
     (("uncertain",), "no", "BadFlag"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
@@ -239,7 +241,8 @@ def _edited(raw, path, value):
         "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
-        "plan-scalar-window", "string-uncertain"])
+        "plan-scalar-window", "plan-empty-evolution-span",
+        "plan-backward-evolution-span", "string-uncertain"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
@@ -274,6 +277,32 @@ def test_check_and_evolve_share_the_evolution_gate(tmp_path, gate, code):
     assert json.loads(check.output)["evolution_linf_error"] == err
     assert 1e-5 < err < 1.0
     assert (check.exit_code, evolve.exit_code) == (code, code)
+
+
+def _singular_row(orbit, xs, t):
+    return [(complex("nan+nanj"), "singular", float("inf"))] * len(xs)
+
+
+def _failing_point(*args, **kwargs):
+    raise ZeroDivisionError("stand-in failure")
+
+
+@pytest.mark.parametrize("command, name, stand_in, message", [
+    ("check", "evaluate_q", _failing_point, "stencil around"),
+    ("check", "sample_row", _singular_row, "singular points in the exact slice"),
+    ("evolve", "sample_row", _singular_row, "singular points in the exact slice"),
+], ids=["check-sweep", "check-slice", "evolve-slice"])
+def test_solver_failure_in_verification_exits_1(tmp_path, monkeypatch, command, name,
+                                                 stand_in, message):
+    """A failing sweep point or a singular slice point is an error, not a
+    traceback and not a NaN error."""
+    monkeypatch.setattr(simple_pole, name, stand_in)
+    cfg = _small_fig2a(tmp_path, verification={
+        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2, "dps": 20})
+    result = CliRunner().invoke(main, [command, str(cfg), "--sign-convention", "a"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("error: ") and message in result.output
 
 
 def test_config_without_plan_reads_the_default_plan(tmp_path):

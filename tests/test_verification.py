@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from kundunls import io
+from kundunls import io, verification
 from kundunls.errors import NonPowerOfTwo, PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import (EvolutionSetup, Plan, boundary_errors, boundary_window,
-                                   evolution_cross_check, pde_residual,
+                                   evolution_cross_check, exact_slice, pde_residual,
                                    peak_locations, probe_convention,
                                    renormalized_mass, residual_sweep,
                                    split_step_evolve, verify, _evaluator)
@@ -50,6 +50,90 @@ def test_residual_sweep_is_discretization_limited(fig2a):
     r = [residual_sweep(fig2a, window, n=3, h=h) for h in (4e-3, 2e-3, 1e-3)]
     assert r[0] / r[1] == pytest.approx(16, rel=0.15)
     assert r[1] / r[2] == pytest.approx(16, rel=0.15)
+
+
+def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
+    """A NaN at one sweep node makes residual_max NaN and fails the gate."""
+    window = (-1.0, 1.0, -1.0, 1.0)
+    real = verification._evaluator
+
+    def nan_at_centre(cfg, convention, ctx=verification._mathctx.FLOAT):
+        evaluator, orbit = real(cfg, convention, ctx)
+
+        def patched(x, t):
+            # (0, 0) is the centre node of a 3 x 3 sweep and no stencil point
+            if x == 0 and t == 0:
+                return ctx.convert(complex("nan+nanj"))
+            return evaluator(x, t)
+
+        return patched, orbit
+
+    monkeypatch.setattr(verification, "_evaluator", nan_at_centre)
+    assert math.isnan(residual_sweep(fig2a, window, n=3))
+    report = verify(fig2a, plan=Plan(residual_n=3, window=window, evolution=None),
+                    convention="a")
+    assert math.isnan(report.residual_max) and not report.passed
+
+
+def _unfused_strang(q, setup, Q0):
+    """Reference Strang loop: half nonlinear, linear, half nonlinear per step."""
+    kappa = 2 * np.pi * np.fft.fftfreq(setup.M, d=2 * setup.L / setup.M)
+    linear_phase = np.exp(-1j * kappa ** 2 * setup.dt)
+
+    def half_nonlinear(arr):
+        return arr * np.exp(2j * (np.abs(arr) ** 2 - Q0 ** 2) * (setup.dt / 2))
+
+    for _ in range(round((setup.t1 - setup.t0) / setup.dt)):
+        q = half_nonlinear(q)
+        q = np.fft.ifft(np.fft.fft(q) * linear_phase)
+        q = half_nonlinear(q)
+    return q
+
+
+def _fig2a_slice(setup):
+    xs = -setup.L + 2 * setup.L * np.arange(setup.M) / setup.M
+    return exact_slice(derive_orbit(io.load_config("fig2a").cfg, "a"), xs, setup.t0)
+
+
+def _random_periodic_field(M):
+    """Background plus random low Fourier modes, periodic on the grid."""
+    rng = np.random.default_rng(7)
+    modes = np.zeros(M, complex)
+    modes[:8] = rng.normal(size=8) + 1j * rng.normal(size=8)
+    modes[-7:] = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return 1 + 0.3 * np.fft.ifft(modes) * M / 8
+
+
+@pytest.mark.parametrize("setup, field", [
+    (EvolutionSetup(L=40.0, M=4096, dt=1e-4, t0=-2.0, t1=-1.96), _fig2a_slice),
+    (EvolutionSetup(L=10.0, M=256, dt=1e-3, t0=0.0, t1=0.4),
+     lambda setup: _random_periodic_field(setup.M)),
+], ids=["fig2a-slice", "random-M256"])
+def test_fused_split_step_matches_unfused_strang(setup, field):
+    q0 = field(setup)
+    assert round((setup.t1 - setup.t0) / setup.dt) == 400
+    fused = split_step_evolve(q0, setup, 1.0)
+    assert np.max(np.abs(fused - _unfused_strang(q0, setup, 1.0))) < 1e-12
+
+
+def test_one_split_step_is_half_linear_half():
+    setup = EvolutionSetup(L=10.0, M=256, dt=1e-2, t0=0.0, t1=1e-2)
+    q = _random_periodic_field(setup.M)
+    kappa = 2 * np.pi * np.fft.fftfreq(setup.M, d=2 * setup.L / setup.M)
+    half = 2j * (setup.dt / 2)
+    q = q * np.exp(half * (np.abs(q) ** 2 - 1))
+    q = np.fft.ifft(np.fft.fft(q) * np.exp(-1j * kappa ** 2 * setup.dt))
+    q = q * np.exp(half * (np.abs(q) ** 2 - 1))
+    out = split_step_evolve(_random_periodic_field(setup.M), setup, 1.0)
+    assert np.max(np.abs(out - q)) < 1e-14
+
+
+def test_split_step_leaves_input_unchanged():
+    setup = EvolutionSetup(L=10.0, M=256, dt=1e-3, t0=0.0, t1=0.01)
+    q0 = _random_periodic_field(setup.M)
+    before = q0.copy()
+    split_step_evolve(q0, setup, 1.0)
+    assert np.array_equal(q0, before)
 
 
 def test_split_step_background_fixed_point():
