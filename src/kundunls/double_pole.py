@@ -11,7 +11,7 @@ from functools import partial
 
 from . import _mathctx, reconstruct
 from .spectrum import OrbitTable
-from .uniformization import SpectralPoint, theta_prime
+from .uniformization import theta_prime
 
 
 @dataclass
@@ -25,7 +25,7 @@ class DoublePoleSystem:
 
 
 def _d_hats(orbit: OrbitTable, x, t, ctx):
-    return [bm + 2 * ctx.i * theta_prime(x, t, SpectralPoint(zh, orbit.Q0))
+    return [bm + 2 * ctx.i * theta_prime(x, t, zh, orbit.Q0)
             for bm, zh in zip(orbit.B_minus_xihat, orbit.xi_hat)]
 
 

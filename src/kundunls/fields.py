@@ -71,17 +71,6 @@ class FieldGrid:
             "config_digest": self.config_digest,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldGrid":
-        return cls(
-            xs=list(d["xs"]),
-            ts=list(d["ts"]),
-            q_values=[[complex(re, im) for re, im in row] for row in d["q_values"]],
-            u_values=[[complex(re, im) for re, im in row] for row in d["u_values"]],
-            flags=[list(row) for row in d["flags"]],
-            config_digest=d.get("config_digest", ""),
-        )
-
 
 def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
                   threads: int = 1) -> FieldGrid:

@@ -8,18 +8,23 @@ NetPBM, so golden-file tests can compare raw bytes.
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigParseError, ConfigValidationError, Diagnostic, NonPowerOfTwo
 from .fields import FieldGrid
 from .spectrum import (EigenEntry, PoleOrder, SpectralConfig, validate)
-from .verification import DEFAULT_GATES, EvolutionSetup, Plan
+from .verification import EvolutionSetup, Plan
 
 SCHEMA_VERSION = 1
 
 CSV_HEADER = "x,t,re_u,im_u,abs_u,re_q,im_q,flag"
+
+#: The keys a config may hold; ``note`` is free text for the reader.
+CONFIG_KEYS = ("schema", "name", "note", "pole_order", "q_minus", "epsilon", "gamma0",
+               "eigenvalues", "grid", "uncertain", "verification")
+GRID_KEYS = ("x_min", "x_max", "nx", "t_min", "t_max", "nt")
 
 
 @dataclass
@@ -81,83 +86,36 @@ def _check_grid(grid) -> None:
             raise ConfigValidationError([Diagnostic(
                 "GridSpec", f"grid.{axis}_min = {lo} must lie below grid.{axis}_max "
                 f"= {hi}, far enough apart for n{axis} = {n} distinct points")])
-
-
-def _bad_plan(message: str):
-    return ConfigValidationError([Diagnostic("BadPlan", message)])
-
-
-def _plan_number(value, where: str, positive=False) -> None:
-    """Require a finite JSON number, strictly positive when asked."""
-    try:
-        v = _as_real(value, where)
-    except ConfigValidationError:
-        v = math.nan
-    if not math.isfinite(v) or (positive and v <= 0):
-        raise _bad_plan(f"{where} must be a finite{' positive' if positive else ''} "
-                        f"number, got {value!r}")
-
-
-def _plan_int(value, where: str, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise _bad_plan(f"{where} must be an integer >= {least}, got {value!r}")
+    _known_keys(grid, GRID_KEYS, "grid")
 
 
 def _read_plan(plan) -> Plan:
-    """The verification object as a ``Plan``: only the Plan's fields, each of
-    the type it holds; a missing key keeps the field's default."""
-    if not isinstance(plan, dict):
-        raise _bad_plan(f"verification must be an object, got {plan!r}")
-    unknown = sorted(set(plan) - {f.name for f in fields(Plan)})
-    if unknown:
-        raise _bad_plan(f"verification has unknown keys {unknown}")
-    where = "verification."
-    read = dict(plan)
-    if "window" in plan:
-        window = plan["window"]
-        if not isinstance(window, list) or len(window) != 4:
-            raise _bad_plan(f"{where}window must be [x_min, x_max, t_min, t_max], "
-                            f"got {window!r}")
-        for v in window:
-            _plan_number(v, f"{where}window")
-        read["window"] = tuple(window)
-    if "residual_n" in plan:
-        _plan_int(plan["residual_n"], f"{where}residual_n", 2)
-    for key in ("h", "boundary_L"):
-        if key in plan:
-            _plan_number(plan[key], where + key, positive=True)
-    if "dps" in plan:
-        _plan_int(plan["dps"], f"{where}dps", 1)
-    gates = plan.get("gates", {})
-    if not isinstance(gates, dict) or set(gates) - set(DEFAULT_GATES):
-        raise _bad_plan(f"{where}gates must map some of {sorted(DEFAULT_GATES)} "
-                        f"to numbers, got {gates!r}")
-    for key, v in gates.items():
-        _plan_number(v, f"{where}gates.{key}")
-    read["gates"] = {**DEFAULT_GATES, **gates}
-    read["evolution"] = _read_evolution(plan.get("evolution", True), where)
-    return Plan(**read)
-
-
-def _read_evolution(evo, where: str) -> EvolutionSetup | None:
-    """true (the default setup), false (None) or an object of setup fields."""
-    if isinstance(evo, bool):
-        return EvolutionSetup() if evo else None
-    evo_keys = {f.name for f in fields(EvolutionSetup)}
-    if not isinstance(evo, dict) or set(evo) - evo_keys:
-        raise _bad_plan(f"{where}evolution must be true, false or an object with "
-                        f"keys among {sorted(evo_keys)}, got {evo!r}")
-    for key, v in evo.items():
-        if key == "M":
-            _plan_int(v, f"{where}evolution.M", 2)
-        else:
-            _plan_number(v, f"{where}evolution.{key}")
-    setup = EvolutionSetup(**evo)
+    """The verification object as a ``Plan``, which checks its own fields; a
+    missing key keeps the field's default.  A null is rejected, though Plan
+    takes None for ``boundary_L`` and ``evolution``: JSON spells those
+    defaults by leaving the key out and ``"evolution": false``."""
     try:
-        setup.require_valid()
-    except (ValueError, NonPowerOfTwo) as exc:
-        raise _bad_plan(f"{where}evolution: {exc}") from None
-    return setup
+        if not isinstance(plan, dict):
+            raise TypeError(f"must be an object, got {plan!r}")
+        nulls = sorted(key for key, v in plan.items() if v is None)
+        if nulls:
+            raise ValueError(f"keys {nulls} must not be null")
+        evolution = plan.get("evolution", True)
+        if isinstance(evolution, bool):
+            evolution = EvolutionSetup() if evolution else None
+        elif isinstance(evolution, dict):
+            evolution = EvolutionSetup(**evolution)
+        return Plan(**{**plan, "evolution": evolution})
+    except (TypeError, ValueError, OverflowError, NonPowerOfTwo) as exc:
+        raise ConfigValidationError([Diagnostic(
+            "BadPlan", f"verification: {exc}")]) from None
+
+
+def _known_keys(obj: dict, keys, where: str) -> None:
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigValidationError([Diagnostic(
+            "UnknownKey", f"{where} has unknown keys {unknown}")])
 
 
 def _require(obj: dict, key: str, where: str):
@@ -212,6 +170,7 @@ def load_config(path) -> RunConfig:
         order = PoleOrder.SIMPLE
     if problems:
         raise ConfigValidationError(problems)
+    _known_keys(raw, CONFIG_KEYS, "config")
 
     entries = raw.get("eigenvalues", [])
     if (not isinstance(entries, list)
@@ -227,6 +186,7 @@ def load_config(path) -> RunConfig:
                                f"{where}.A_plus"),
             B_plus=_as_complex(entry.get("B_plus", [0, 0]), f"{where}.B_plus"),
         ))
+        _known_keys(entry, ("z", "A_plus", "B_plus"), where)
     cfg = SpectralConfig(
         q_minus=_as_complex(_require(raw, "q_minus", "q_minus"), "q_minus"),
         epsilon=_as_real(_require(raw, "epsilon", "epsilon"), "epsilon"),
@@ -284,10 +244,6 @@ def write_grid_csv(grid: FieldGrid, path):
 
 def write_grid_json(grid: FieldGrid, path):
     Path(path).write_text(json.dumps(grid.to_dict()) + "\n", encoding="utf-8")
-
-
-def read_grid_json(path) -> FieldGrid:
-    return FieldGrid.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def render_pgm(grid: FieldGrid, path):

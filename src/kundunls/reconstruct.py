@@ -21,7 +21,7 @@ import numpy
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
 from .spectrum import SIGN_CONVENTIONS, OrbitTable
-from .uniformization import SpectralPoint, theta
+from .uniformization import theta
 
 COND_WARN_THRESHOLD = 1e8
 
@@ -31,7 +31,7 @@ _SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 def log_weights(orbit: OrbitTable, x, t, ctx):
     """log(A_minus[xi_hat_j] e^{2 i theta(xi_hat_j)}) for every mirror point."""
     q0 = orbit.Q0
-    return [ctx.log(a) + 2 * ctx.i * theta(x, t, SpectralPoint(zh, q0))
+    return [ctx.log(a) + 2 * ctx.i * theta(x, t, zh, q0)
             for a, zh in zip(orbit.A_minus_xihat, orbit.xi_hat)]
 
 

@@ -75,7 +75,8 @@ def canonicalize_eigenvalue(z: complex, Q0: float) -> complex:
     for cand in (z, z.conjugate(), -Q0 ** 2 / z, -(Q0 ** 2) / z.conjugate()):
         if cand.imag > 0 and abs(cand) > Q0:
             return cand
-    raise ContourEigenvalue(f"eigenvalue {z} has no canonical representative")
+    raise ContourEigenvalue(f"eigenvalue {z} lies within rounding of the continuous "
+                            "spectrum")
 
 
 @dataclass(frozen=True)
@@ -114,23 +115,6 @@ def resolve_convention(convention: str) -> str:
     return convention
 
 
-def compute_q_plus(cfg: SpectralConfig, ctx=_mathctx.FLOAT):
-    """Boundary value q_plus from the phase condition.
-
-    arg(q_plus/q_minus) equals minus 4 (simple poles) or minus 8 (double
-    poles) times the sum of eigenvalue arguments; the modulus carries over
-    unchanged.  The sign is the one the constructed fields actually realize
-    (measured on asymmetric spectra and frozen in a golden test).
-    """
-    m = 4 if cfg.pole_order is PoleOrder.SIMPLE else 8
-    q0 = cfg.Q0
-    total = 0.0
-    for e in cfg.eigenvalues:
-        zc = canonicalize_eigenvalue(e.z, q0)
-        total += ctx.arg(ctx.convert(zc))
-    return ctx.convert(cfg.q_minus) * ctx.exp(-ctx.i * (m * total))
-
-
 def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> OrbitTable:
     """Build the full 2N orbit with all derived constants."""
     convention = resolve_convention(convention)
@@ -144,14 +128,10 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
         if z != e.z:
             log.info("eigenvalue %s canonicalized to %s", e.z, z)
         cz.append(z)
-    for i in range(len(cz)):
-        for j in range(i + 1, len(cz)):
-            if cz[i] == cz[j]:
-                hint = "use double-pole mode" if cfg.pole_order is PoleOrder.SIMPLE else None
-                raise DuplicateEigenvalue(
-                    f"eigenvalues {i} and {j} coincide at {cz[i]}"
-                    + (f" ({hint})" if hint else "")
-                )
+    duplicates = _duplicates(dict(enumerate(cz)), cfg.pole_order)
+    if duplicates:
+        d = duplicates[0]
+        raise DuplicateEigenvalue(d.message + (f" ({d.hint})" if d.hint else ""))
 
     conv = ctx.convert
     qm = conv(cfg.q_minus)
@@ -183,7 +163,16 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
             b_minus[n_eigs + n] = b.conjugate()
             b_plus[n_eigs + n] = bshift.conjugate()
 
-    table = OrbitTable(
+    # arg(q_plus/q_minus) is minus 4 (simple poles) or minus 8 (double poles)
+    # times the sum of the eigenvalue arguments, and the modulus carries over.
+    # The sign is the one the constructed fields realize (measured on
+    # asymmetric spectra and frozen in a golden test).
+    total = 0.0
+    for z in zs:
+        total += ctx.arg(z)
+    q_plus = qm * ctx.exp(-ctx.i * ((8 if double else 4) * total))
+
+    return OrbitTable(
         cfg=cfg,
         sign_convention=convention,
         xi=tuple(xi),
@@ -192,10 +181,9 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
         A_minus_xihat=tuple(a_minus),
         B_plus_xi=tuple(b_plus),
         B_minus_xihat=tuple(b_minus),
-        q_plus=compute_q_plus(cfg, ctx),
+        q_plus=q_plus,
         canonical_z=tuple(zs),
     )
-    return table
 
 
 def validate(cfg: SpectralConfig):
@@ -231,31 +219,27 @@ def validate(cfg: SpectralConfig):
                                  "or underflow double precision")]
 
 
+def _duplicates(zs: dict, pole_order: PoleOrder):
+    """One DuplicateEigenvalue diagnostic per pair of equal canonical
+    eigenvalues; zs maps each eigenvalue's index to its canonical value."""
+    hint = "use double-pole mode" if pole_order is PoleOrder.SIMPLE else None
+    items = list(zs.items())
+    return [Diagnostic("DuplicateEigenvalue", f"eigenvalues {i} and {j} coincide "
+                       f"at {zi} after canonicalization", hint=hint)
+            for n, (i, zi) in enumerate(items) for j, zj in items[n + 1:] if zi == zj]
+
+
 def _eigenvalue_problems(cfg: SpectralConfig):
     """Contour, zero-norming-constant and duplicate eigenvalue diagnostics."""
     out = []
-    q0 = cfg.Q0
-    canon = []
+    canon = {}
     for idx, e in enumerate(cfg.eigenvalues):
-        if e.z.imag == 0 or abs(e.z) == q0:
-            out.append(Diagnostic(
-                "ContourEigenvalue",
-                f"eigenvalue {idx} at {e.z} lies on the continuous spectrum",
-            ))
+        try:
+            canon[idx] = canonicalize_eigenvalue(e.z, cfg.Q0)
+        except ContourEigenvalue as exc:
+            out.append(Diagnostic("ContourEigenvalue", f"eigenvalues[{idx}]: {exc}"))
             continue
         if e.A_plus == 0:
             out.append(Diagnostic("NormingConstantZero",
                                   f"A_plus of eigenvalue {idx} must be nonzero"))
-        canon.append((idx, canonicalize_eigenvalue(e.z, q0)))
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            if canon[i][1] == canon[j][1]:
-                hint = ("use double-pole mode"
-                        if cfg.pole_order is PoleOrder.SIMPLE else None)
-                out.append(Diagnostic(
-                    "DuplicateEigenvalue",
-                    f"eigenvalues {canon[i][0]} and {canon[j][0]} coincide "
-                    f"at {canon[i][1]} after canonicalization",
-                    hint=hint,
-                ))
-    return out
+    return out + _duplicates(canon, cfg.pole_order)

@@ -2,65 +2,33 @@
 
 The single complex coordinate z replaces the two-sheeted surface of the
 spectral parameter k.  All maps here are rational in z, so they evaluate
-unchanged for builtin complex or mpmath scalars.
+unchanged for builtin complex or mpmath scalars; each takes z != 0 and the
+background amplitude q0 > 0, as ``spectrum.validate`` guarantees for every
+orbit point.
 """
 
-import enum
-from dataclasses import dataclass
+
+def k_of_z(z, q0):
+    """k(z) = (z - q0^2/z)/2."""
+    return (z - q0 ** 2 / z) / 2
 
 
-class Region(enum.Enum):
-    DPLUS = "D+"
-    DMINUS = "D-"
-    CONTOUR = "contour"
+def lambda_of_z(z, q0):
+    """lambda(z) = (z + q0^2/z)/2, the branch-free square root of k^2 + q0^2."""
+    return (z + q0 ** 2 / z) / 2
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point z in the spectral plane together with the background amplitude Q0."""
-
-    z: complex
-    Q0: float
-
-    def __post_init__(self):
-        if self.z == 0:
-            raise ValueError("z = 0 is a pole of the spectral map")
-        if not self.Q0 > 0:
-            raise ValueError("Q0 must be positive")
-
-
-def k_of_z(p: SpectralPoint):
-    """k(z) = (z - Q0^2/z)/2."""
-    return (p.z - p.Q0 ** 2 / p.z) / 2
-
-
-def lambda_of_z(p: SpectralPoint):
-    """lambda(z) = (z + Q0^2/z)/2, the branch-free square root of k^2 + Q0^2."""
-    return (p.z + p.Q0 ** 2 / p.z) / 2
-
-
-def theta(x, t, p: SpectralPoint):
+def theta(x, t, z, q0):
     """Phase theta(x, t, z) = lambda(z) * (x - 2 k(z) t)."""
-    return lambda_of_z(p) * (x - 2 * k_of_z(p) * t)
+    return lambda_of_z(z, q0) * (x - 2 * k_of_z(z, q0) * t)
 
 
-def theta_prime(x, t, p: SpectralPoint):
+def theta_prime(x, t, z, q0):
     """Analytic d(theta)/dz at fixed (x, t).
 
-    lambda'(z) = (1 - Q0^2/z^2)/2 and k'(z) = (1 + Q0^2/z^2)/2.
+    lambda'(z) = (1 - q0^2/z^2)/2 and k'(z) = (1 + q0^2/z^2)/2.
     """
-    z = p.z
-    q0sq = p.Q0 ** 2
+    q0sq = q0 ** 2
     lam_p = (1 - q0sq / z ** 2) / 2
     k_p = (1 + q0sq / z ** 2) / 2
-    return lam_p * (x - 2 * k_of_z(p) * t) - 2 * lambda_of_z(p) * k_p * t
-
-
-def region_of(p: SpectralPoint) -> Region:
-    """Classify z by the exact sign of (|z|^2 - Q0^2) * Im z."""
-    s = (abs(p.z) ** 2 - p.Q0 ** 2) * float(p.z.imag)
-    if s > 0:
-        return Region.DPLUS
-    if s < 0:
-        return Region.DMINUS
-    return Region.CONTOUR
+    return lam_p * (x - 2 * k_of_z(z, q0) * t) - 2 * lambda_of_z(z, q0) * k_p * t

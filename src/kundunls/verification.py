@@ -17,7 +17,7 @@ from .errors import (NonPowerOfTwo, PeriodicIncompatible, SingularMatrix,
                      StencilEvaluationFailure)
 from .fields import POLE_MODULES
 from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
-from .uniformization import SpectralPoint, lambda_of_z
+from .uniformization import lambda_of_z
 
 RESIDUAL_DPS = 40
 PERIODIC_GATE = 1e-8
@@ -27,9 +27,28 @@ PERIODIC_GATE = 1e-8
 DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
 
 
+def _number(value, where: str, positive=False) -> None:
+    """Require a finite real number (not a bool), strictly positive when asked."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value) and (value > 0 or not positive))
+    except OverflowError:  # an int beyond double range
+        ok = False
+    if not ok:
+        raise ValueError(f"{where} must be a finite{' positive' if positive else ''} "
+                         f"number, got {value!r}")
+
+
+def _integer(value, where: str, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{where} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvolutionSetup:
-    """Periodic window and stepping for the split-step cross-check."""
+    """Periodic window and stepping for the split-step cross-check; checked on
+    construction: L, dt > 0, M a power of two, t1 > t0 and t1 - t0 a whole
+    number of steps."""
 
     L: float = 40.0
     M: int = 4096
@@ -37,10 +56,11 @@ class EvolutionSetup:
     t0: float = -2.0
     t1: float = 2.0
 
-    def require_valid(self):
-        if self.L <= 0 or self.dt <= 0:
-            raise ValueError("L and dt must be positive")
-        if self.M < 2 or self.M & (self.M - 1):
+    def __post_init__(self):
+        _integer(self.M, "evolution.M", 2)
+        for name in ("L", "dt", "t0", "t1"):
+            _number(getattr(self, name), f"evolution.{name}", positive=name in ("L", "dt"))
+        if self.M & (self.M - 1):
             raise NonPowerOfTwo(f"M = {self.M} is not a power of two")
         if not self.t1 > self.t0:
             raise ValueError("evolution span needs t1 > t0")
@@ -55,9 +75,10 @@ class Plan:
     """How ``check`` verifies a config and how ``evolve`` steps it: the
     config's ``verification`` object, each missing key at its default.
 
-    ``boundary_L`` None means ``boundary_window(orbit)``; ``gates`` holds all
-    of ``DEFAULT_GATES``, overridden where the config names one;
-    ``evolution`` None disables the split-step check in ``check``.
+    ``boundary_L`` None means ``boundary_window(orbit)``; ``gates`` names
+    some of ``DEFAULT_GATES`` and holds all of them once built; ``evolution``
+    None disables the split-step check in ``check``.  Each field is checked
+    on construction, so a bad value raises ``ValueError`` or ``TypeError``.
     """
 
     window: tuple = (-5.0, 5.0, -3.0, 3.0)
@@ -65,8 +86,30 @@ class Plan:
     h: float = 1e-3
     boundary_L: float | None = None
     dps: int = RESIDUAL_DPS
-    gates: dict = field(default_factory=lambda: dict(DEFAULT_GATES))
+    gates: dict = field(default_factory=dict)
     evolution: EvolutionSetup | None = EvolutionSetup()
+
+    def __post_init__(self):
+        if not isinstance(self.window, (list, tuple)) or len(self.window) != 4:
+            raise ValueError("window must be [x_min, x_max, t_min, t_max], "
+                             f"got {self.window!r}")
+        for v in self.window:
+            _number(v, "window")
+        _integer(self.residual_n, "residual_n", 2)
+        _number(self.h, "h", positive=True)
+        if self.boundary_L is not None:
+            _number(self.boundary_L, "boundary_L", positive=True)
+        _integer(self.dps, "dps", 1)
+        if not isinstance(self.gates, dict) or set(self.gates) - set(DEFAULT_GATES):
+            raise ValueError(f"gates must map some of {sorted(DEFAULT_GATES)} "
+                             f"to numbers, got {self.gates!r}")
+        for key, v in self.gates.items():
+            _number(v, f"gates.{key}")
+        if not (self.evolution is None or isinstance(self.evolution, EvolutionSetup)):
+            raise TypeError("evolution must be true, false or an object of "
+                            f"EvolutionSetup fields, got {self.evolution!r}")
+        object.__setattr__(self, "window", tuple(self.window))
+        object.__setattr__(self, "gates", {**DEFAULT_GATES, **self.gates})
 
 
 @dataclass
@@ -155,7 +198,6 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     half-steps are fused into one full step, so only the first and the last
     are halves.
     """
-    setup.require_valid()
     q = np.array(q0_samples, dtype=complex)
     if q.shape != (setup.M,):
         raise ValueError(f"expected {setup.M} samples, got {q.shape}")
@@ -277,7 +319,7 @@ def boundary_window(orbit) -> float:
     The tail of eigenvalue z_n decays like exp(-2 Im lambda(z_n) |x|), so a
     fixed L leaves slowly decaying fields far above the boundary gate.
     """
-    rate = min((2 * lambda_of_z(SpectralPoint(z, orbit.Q0)).imag
+    rate = min((2 * lambda_of_z(z, orbit.Q0).imag
                 for z in orbit.canonical_z), default=math.inf)
     return min(max(30.0, 20 / rate if rate > 0 else math.inf), 250.0)
 

@@ -78,12 +78,8 @@ def test_json_round_trip_bit_identical(tmp_path, fig2a):
     grid = evaluate_grid(fig2a, orbit, linspace(-2, 2, 7), linspace(-1, 1, 5))
     path = tmp_path / "grid.json"
     io.write_grid_json(grid, path)
-    back = io.read_grid_json(path)
-    assert back.xs == grid.xs and back.ts == grid.ts
-    assert back.q_values == grid.q_values
-    assert back.u_values == grid.u_values
-    assert back.flags == grid.flags
-    assert back.config_digest == grid.config_digest == config_digest(fig2a)
+    assert json.loads(path.read_text()) == grid.to_dict()
+    assert grid.config_digest == config_digest(fig2a)
 
 
 def test_pgm_degenerate_range_is_mid_gray(tmp_path):
@@ -234,6 +230,14 @@ def _edited(raw, path, value):
     (("verification",), {"evolution": {"t0": 0.5, "t1": 0.5}}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": -0.5}}, "BadPlan"),
     (("uncertain",), "no", "BadFlag"),
+    (("gama0",), 1.2, "UnknownKey"),
+    (("verificaton",), {"evolution": False}, "UnknownKey"),
+    (("grid", "ny"), 5, "UnknownKey"),
+    (("eigenvalues", 0, "b_plus"), [1.0, 0.0], "UnknownKey"),
+    (("verification",), {"boundary_L": None}, "BadPlan"),
+    (("verification",), {"evolution": None}, "BadPlan"),
+    (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
+     "ContourEigenvalue"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
         "no-A_plus", "eigenvalues-object", "string-epsilon",
@@ -242,7 +246,9 @@ def _edited(raw, path, value):
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
         "plan-scalar-window", "plan-empty-evolution-span",
-        "plan-backward-evolution-span", "string-uncertain"])
+        "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
+        "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
+        "plan-null-boundary_L", "plan-null-evolution", "near-circle-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)

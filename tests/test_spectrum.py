@@ -5,8 +5,8 @@ import pytest
 
 from kundunls.errors import ContourEigenvalue, DuplicateEigenvalue
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
-                               canonicalize_eigenvalue, compute_q_plus,
-                               derive_orbit, resolve_convention, validate)
+                               canonicalize_eigenvalue, derive_orbit,
+                               resolve_convention, validate)
 
 
 def test_canonicalization_picks_upper_exterior_member():
@@ -40,13 +40,13 @@ def test_orbit_shape_and_mirrors(fig4a):
 
 
 def test_q_plus_modulus_preserved(fig4a):
-    qp = compute_q_plus(fig4a)
+    qp = derive_orbit(fig4a, "a").q_plus
     assert abs(abs(qp) - abs(fig4a.q_minus)) < 1e-14
 
 
 def test_q_plus_trivial_phase_for_imaginary_eigenvalue(fig2a):
     # arg z = pi/2, four times that is 2 pi: the boundary values coincide
-    qp = compute_q_plus(fig2a)
+    qp = derive_orbit(fig2a, "a").q_plus
     assert abs(qp - fig2a.q_minus) < 1e-12
 
 

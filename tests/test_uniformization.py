@@ -1,12 +1,8 @@
-import cmath
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
-from kundunls.uniformization import (Region, SpectralPoint, k_of_z,
-                                     lambda_of_z, region_of, theta,
-                                     theta_prime)
+from kundunls.uniformization import k_of_z, lambda_of_z, theta, theta_prime
 
 
 def nonzero_complex(draw_abs_max=5.0):
@@ -21,24 +17,23 @@ def test_lambda_squared_is_k_squared_plus_background():
         if abs(z) < 1e-3:
             continue
         q0 = rng.uniform(0.2, 3.0)
-        p = SpectralPoint(z, q0)
-        lhs = lambda_of_z(p) ** 2
-        rhs = k_of_z(p) ** 2 + q0 ** 2
+        lhs = lambda_of_z(z, q0) ** 2
+        rhs = k_of_z(z, q0) ** 2 + q0 ** 2
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 @given(z=nonzero_complex(), q0=st.floats(0.1, 3.0))
 def test_mirror_point_negates_lambda_and_keeps_k(z, q0):
-    p = SpectralPoint(z, q0)
-    mirror = SpectralPoint(-q0 ** 2 / z, q0)
-    assert abs(lambda_of_z(mirror) + lambda_of_z(p)) <= 1e-9 * (1 + abs(lambda_of_z(p)))
-    assert abs(k_of_z(mirror) - k_of_z(p)) <= 1e-9 * (1 + abs(k_of_z(p)))
+    mirror = -q0 ** 2 / z
+    lam, k = lambda_of_z(z, q0), k_of_z(z, q0)
+    assert abs(lambda_of_z(mirror, q0) + lam) <= 1e-9 * (1 + abs(lam))
+    assert abs(k_of_z(mirror, q0) - k) <= 1e-9 * (1 + abs(k))
 
 
 def test_theta_flips_sign_at_mirror_point():
-    p = SpectralPoint(0.7 + 1.9j, 1.3)
-    mirror = SpectralPoint(-1.3 ** 2 / (0.7 + 1.9j), 1.3)
-    assert abs(theta(0.4, -1.1, mirror) + theta(0.4, -1.1, p)) < 1e-12
+    z = 0.7 + 1.9j
+    mirror = -1.3 ** 2 / z
+    assert abs(theta(0.4, -1.1, mirror, 1.3) + theta(0.4, -1.1, z, 1.3)) < 1e-12
 
 
 def test_theta_prime_matches_finite_difference():
@@ -46,40 +41,6 @@ def test_theta_prime_matches_finite_difference():
     q0 = 1.0
     x, t = 0.9, -0.35
     h = 1e-6
-    num = (theta(x, t, SpectralPoint(p0 + h, q0))
-           - theta(x, t, SpectralPoint(p0 - h, q0))) / (2 * h)
-    ana = theta_prime(x, t, SpectralPoint(p0, q0))
+    num = (theta(x, t, p0 + h, q0) - theta(x, t, p0 - h, q0)) / (2 * h)
+    ana = theta_prime(x, t, p0, q0)
     assert abs(num - ana) < 1e-8
-
-
-def test_region_classification():
-    q0 = 1.0
-    assert region_of(SpectralPoint(1.5j, q0)) is Region.DPLUS
-    assert region_of(SpectralPoint(-1.5j, q0)) is Region.DMINUS
-    assert region_of(SpectralPoint(0.5j, q0)) is Region.DMINUS
-    assert region_of(SpectralPoint(-0.5j, q0)) is Region.DPLUS
-    assert region_of(SpectralPoint(2.0 + 0j, q0)) is Region.CONTOUR
-    assert region_of(SpectralPoint(cmath.exp(0.3j), q0)) is Region.CONTOUR
-
-
-def test_mirror_map_swaps_regions():
-    # |zhat|^2 - q0^2 flips sign while Im zhat keeps it, so D+ and D- swap
-    rng = random.Random(11)
-    for _ in range(300):
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        q0 = rng.uniform(0.2, 3.0)
-        if abs(z) < 1e-6:
-            continue
-        r1 = region_of(SpectralPoint(z, q0))
-        r2 = region_of(SpectralPoint(-q0 ** 2 / z, q0))
-        if r1 is Region.CONTOUR:
-            assert r2 is Region.CONTOUR
-        else:
-            assert {r1, r2} == {Region.DPLUS, Region.DMINUS}
-
-
-def test_origin_and_nonpositive_background_rejected():
-    with pytest.raises(ValueError):
-        SpectralPoint(0j, 1.0)
-    with pytest.raises(ValueError):
-        SpectralPoint(1j, 0.0)

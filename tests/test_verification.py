@@ -161,6 +161,24 @@ def test_split_step_rejects_bad_grid():
                           EvolutionSetup(M=100), 1.0)
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Plan(residual_n=1, evolution=None), ValueError),
+    (lambda: Plan(window=(0, 1)), ValueError),
+    (lambda: Plan(gates={"bogus": 1}), ValueError),
+    (lambda: EvolutionSetup(t1=-2.0), ValueError),
+    (lambda: EvolutionSetup(M=100), NonPowerOfTwo),
+], ids=["residual_n-1", "short-window", "unknown-gate", "empty-span", "M-100"])
+def test_plan_and_setup_check_their_fields(build, error):
+    """A plan built in Python is held to the rules a config's plan is."""
+    with pytest.raises(error):
+        build()
+
+
+def test_plan_gates_hold_every_default_gate():
+    assert Plan(gates={"evolution": 1.0}).gates == {
+        "residual": 1e-6, "boundary": 1e-6, "evolution": 1.0}
+
+
 def test_mass_conservation(fig2a):
     evaluator, _ = _evaluator(fig2a, "a")
     setup = EvolutionSetup(L=40.0, M=1024, dt=1e-3, t0=-0.5, t1=0.5)
