@@ -11,7 +11,7 @@ from functools import partial
 
 from . import _mathctx, reconstruct
 from .spectrum import OrbitTable
-from .uniformization import theta_prime
+from .uniformization import k_prime, lambda_of_z, lambda_prime
 
 
 @dataclass
@@ -24,9 +24,60 @@ class DoublePoleSystem:
     Dn_hat: list
 
 
-def _d_hats(orbit: OrbitTable, x, t, ctx):
-    return [bm + 2 * ctx.i * theta_prime(x, t, zh, orbit.Q0)
-            for bm, zh in zip(orbit.B_minus_xihat, orbit.xi_hat)]
+@dataclass(frozen=True)
+class _Constants:
+    """The (x, t)-independent part of the block system in one context."""
+
+    weights: reconstruct.WeightConstants
+    d: tuple  # xi_s - xi_hat_j
+    inv_d: tuple  # 1 / d
+    two_d: tuple  # 2 / d
+    lam_p: tuple  # lambda'(xi_hat_j)
+    two_lam_kp: tuple  # 2 lambda(xi_hat_j) k'(xi_hat_j)
+    diag: tuple  # per s: i q_-/xi_s, i q_-/xi_s^2, i Q0^2 q_-/xi_s^3
+    rhs: tuple
+
+
+def _constants(orbit: OrbitTable, ctx) -> _Constants:
+    qm = ctx.convert(orbit.q_minus)
+    q0 = orbit.Q0
+    q0sq = q0 ** 2
+    xi, xih = orbit.xi, orbit.xi_hat
+    d = tuple(tuple(xs - xh for xh in xih) for xs in xi)
+    return _Constants(
+        weights=reconstruct.weight_constants(orbit, ctx),
+        d=d,
+        inv_d=tuple(tuple(1 / dj for dj in ds) for ds in d),
+        two_d=tuple(tuple(2 / dj for dj in ds) for ds in d),
+        lam_p=tuple(lambda_prime(zh, q0) for zh in xih),
+        two_lam_kp=tuple(2 * lambda_of_z(zh, q0) * k_prime(zh, q0) for zh in xih),
+        diag=tuple((ctx.i * qm / xs, ctx.i * qm / xs ** 2, ctx.i * q0sq * qm / xs ** 3)
+                   for xs in xi),
+        rhs=tuple([-ctx.i * qm / xs for xs in xi] + [-ctx.i * qm / xs ** 2 for xs in xi]),
+    )
+
+
+def _system(orbit: OrbitTable, x, t, ctx, scaled):
+    """Rows, rhs, scaled weights w and D_hat at one point (or one x array)."""
+    const = reconstruct.prepared(orbit, ctx, _constants)
+    w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx, scaled)
+    two_i = const.weights.two_i
+    dh = [bm + two_i * (lp * y - lk * t)
+          for bm, lp, lk, y in zip(orbit.B_minus_xihat, const.lam_p, const.two_lam_kp, ys)]
+    top, bottom = [], []
+    for s, (ds, inv_ds, two_ds, (k1, k2, k3)) in enumerate(
+            zip(const.d, const.inv_d, const.two_d, const.diag)):
+        c = [wj / dj for wj, dj in zip(w, ds)]
+        cd = [cj / dj for cj, dj in zip(c, ds)]
+        mu = [cj * (dhj + ij) for cj, dhj, ij in zip(c, dh, inv_ds)]
+        mu[s] = mu[s] - k1 * csc[s]
+        mu2 = [cdj * (dhj + tj) for cdj, dhj, tj in zip(cd, dh, two_ds)]
+        mu2[s] = mu2[s] - k2 * csc[s]
+        mup2 = list(cd)
+        mup2[s] = cd[s] + k3 * csc[s]
+        top.append(mu + c)
+        bottom.append(mu2 + mup2)
+    return top + bottom, const.rhs, w, dh
 
 
 def build(orbit: OrbitTable, x, t, ctx, scaled=True):
@@ -35,44 +86,14 @@ def build(orbit: OrbitTable, x, t, ctx, scaled=True):
     Columns are optionally log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n
     + D_hat_n mu_n), which is q_minus - s i r^T y.
     """
-    qm = ctx.convert(orbit.q_minus)
-    q0sq = orbit.Q0 ** 2
-    xi, xih = orbit.xi, orbit.xi_hat
-    n = len(xi)
-    wsc, csc = reconstruct.column_weights(orbit, x, t, ctx, scaled)
-    dh = _d_hats(orbit, x, t, ctx)
-
-    rows = []
-    rhs = []
-    for s in range(n):
-        row_mu = []
-        row_mup = []
-        for j in range(n):
-            d = xi[s] - xih[j]
-            c = wsc[j] / d
-            row_mu.append(c * (dh[j] + 1 / d)
-                          - (ctx.i * qm / xi[s]) * csc[j] * (s == j))
-            row_mup.append(c)
-        rows.append(row_mu + row_mup)
-        rhs.append(-ctx.i * qm / xi[s])
-    for s in range(n):
-        row_mu = []
-        row_mup = []
-        for j in range(n):
-            d = xi[s] - xih[j]
-            c = wsc[j] / d
-            row_mu.append((c / d) * (dh[j] + 2 / d)
-                          - (ctx.i * qm / xi[s] ** 2) * csc[j] * (s == j))
-            row_mup.append(c / d + (ctx.i * q0sq * qm / xi[s] ** 3) * csc[j] * (s == j))
-        rows.append(row_mu + row_mup)
-        rhs.append(-ctx.i * qm / xi[s] ** 2)
-    return rows, rhs, [wj * dj for wj, dj in zip(wsc, dh)] + wsc
+    rows, rhs, w, dh = _system(orbit, x, t, ctx, scaled)
+    return rows, rhs, [wj * dj for wj, dj in zip(w, dh)] + w
 
 
 def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> DoublePoleSystem:
     """Literal (unscaled) block system; valid while the weights are representable."""
-    rows, rhs, r = build(orbit, x, t, ctx, scaled=False)
-    return DoublePoleSystem(rows, rhs, r[len(orbit.xi):], _d_hats(orbit, x, t, ctx))
+    rows, rhs, w, dh = _system(orbit, x, t, ctx, scaled=False)
+    return DoublePoleSystem(rows, rhs, w, dh)
 
 
 evaluate_q = partial(reconstruct.evaluate_q, build)

@@ -55,9 +55,11 @@ def lu_factor(rows) -> LUFactorization:
     perm = list(range(n))
     sign = 1
     for k in range(n):
-        piv, pmag = k, float(abs(lu[k][k]))
+        # magnitudes compared in double: under mpmath a full-precision hypot
+        # per candidate would cost several times the conversion
+        piv, pmag = k, abs(complex(lu[k][k]))
         for i in range(k + 1, n):
-            m = float(abs(lu[i][k]))
+            m = abs(complex(lu[i][k]))
             if m > pmag:
                 piv, pmag = i, m
         if pmag < PIVOT_UNDERFLOW:

@@ -12,27 +12,57 @@ The exponential weights are carried in log form and each column is rescaled
 by exp(-max(Re log w_j, 0)), so fields stay evaluable far out on the
 background where exp(2 i theta) overflows double precision.  The scale
 factors cancel in the reconstruction.
+
+A pole module's (x, t)-independent constants (log A_minus, lambda, k, the
+pole differences and the diagonal coefficients) are computed once per
+(orbit, context) by ``prepared``, in that context's arithmetic and operation
+order, so ``build`` does only per-point work and gets the same bits as a
+computation of every term at the point.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy
 
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
 from .spectrum import SIGN_CONVENTIONS, OrbitTable
-from .uniformization import theta
+from .uniformization import k_of_z, lambda_of_z
 
 COND_WARN_THRESHOLD = 1e8
 
 _SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 
 
-def log_weights(orbit: OrbitTable, x, t, ctx):
-    """log(A_minus[xi_hat_j] e^{2 i theta(xi_hat_j)}) for every mirror point."""
+@dataclass(frozen=True)
+class WeightConstants:
+    """The (x, t)-independent part of the weights w_j = A_minus[xi_hat_j]
+    e^{2 i theta(xi_hat_j)}, in one context: log A_minus[xi_hat_j],
+    lambda(xi_hat_j), 2 k(xi_hat_j) and 2 i."""
+
+    log_a: tuple
+    lam: tuple
+    two_k: tuple
+    two_i: object
+
+
+def weight_constants(orbit: OrbitTable, ctx) -> WeightConstants:
     q0 = orbit.Q0
-    return [ctx.log(a) + 2 * ctx.i * theta(x, t, zh, q0)
-            for a, zh in zip(orbit.A_minus_xihat, orbit.xi_hat)]
+    return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat),
+                           tuple(lambda_of_z(zh, q0) for zh in orbit.xi_hat),
+                           tuple(2 * k_of_z(zh, q0) for zh in orbit.xi_hat),
+                           2 * ctx.i)
+
+
+def prepared(orbit: OrbitTable, ctx, make):
+    """make(orbit, ctx): a pole module's (x, t)-independent constants,
+    computed once per (orbit, context) and kept on the orbit."""
+    key = (make, ctx)
+    found = orbit.prepared.get(key)
+    if found is None:
+        found = orbit.prepared[key] = make(orbit, ctx)
+    return found
 
 
 def _shift(lw):
@@ -43,12 +73,14 @@ def _shift(lw):
     return max(float(lw.real), 0.0)
 
 
-def column_weights(orbit: OrbitTable, x, t, ctx, scaled=True):
-    """(w_j e^{-m_j}, e^{-m_j}) with m_j = max(Re log w_j, 0), or m_j = 0."""
-    logw = log_weights(orbit, x, t, ctx)
+def column_weights(wc: WeightConstants, x, t, ctx, scaled=True):
+    """(w_j e^{-m_j}, e^{-m_j}, x - 2 k_j t) with m_j = max(Re log w_j, 0),
+    or m_j = 0; log w_j = log A_j + 2 i lambda_j (x - 2 k_j t)."""
+    ys = [x - two_k * t for two_k in wc.two_k]
+    logw = [log_a + wc.two_i * (lam * y) for log_a, lam, y in zip(wc.log_a, wc.lam, ys)]
     shifts = [_shift(lw) if scaled else 0.0 for lw in logw]
     return ([ctx.exp(lw - m) for lw, m in zip(logw, shifts)],
-            [ctx.exp(ctx.convert(-m)) for m in shifts])
+            [ctx.exp(ctx.convert(-m)) for m in shifts], ys)
 
 
 def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):

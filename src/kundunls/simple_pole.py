@@ -21,19 +21,25 @@ class SimplePoleSystem:
     v: list
 
 
+def _constants(orbit: OrbitTable, ctx):
+    """(weight constants, v_s, xi_s - xi_hat_j): the (x, t)-independent part."""
+    v = tuple(-ctx.i * ctx.convert(orbit.q_minus) / xs for xs in orbit.xi)
+    d = tuple(tuple(xs - xh for xh in orbit.xi_hat) for xs in orbit.xi)
+    return reconstruct.weight_constants(orbit, ctx), v, d
+
+
 def build(orbit: OrbitTable, x, t, ctx, scaled=True):
     """Rows of G, b = v and r = w, columns optionally log-rescaled.
 
     G mu = -v and q = q_minus + s i w^T mu, so q = q_minus - s i w^T G^{-1} v.
     """
-    w, c = reconstruct.column_weights(orbit, x, t, ctx, scaled)
-    v = [-ctx.i * ctx.convert(orbit.q_minus) / xs for xs in orbit.xi]
-    n = len(orbit.xi)
-    rows = [
-        [w[j] / (orbit.xi[s] - orbit.xi_hat[j]) + (v[s] * c[j] if s == j else 0)
-         for j in range(n)]
-        for s in range(n)
-    ]
+    wc, v, d = reconstruct.prepared(orbit, ctx, _constants)
+    w, c, _ = reconstruct.column_weights(wc, x, t, ctx, scaled)
+    rows = []
+    for s, ds in enumerate(d):
+        row = [wj / dj for wj, dj in zip(w, ds)]
+        row[s] = row[s] + v[s] * c[s]
+        rows.append(row)
     return rows, v, w
 
 

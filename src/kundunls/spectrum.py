@@ -12,7 +12,7 @@ the one under which the constructed fields satisfy the evolution equation
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _mathctx
 from .errors import ContourEigenvalue, Diagnostic, DuplicateEigenvalue
@@ -93,6 +93,9 @@ class OrbitTable:
     B_minus_xihat: tuple = ()
     q_plus: complex = 0j
     canonical_z: tuple = ()
+    #: per-context constants of the pole modules, filled on first use by
+    #: ``reconstruct.prepared``; a replaced orbit starts empty
+    prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:

@@ -18,17 +18,22 @@ def lambda_of_z(z, q0):
     return (z + q0 ** 2 / z) / 2
 
 
+def k_prime(z, q0):
+    """k'(z) = (1 + q0^2/z^2)/2."""
+    return (1 + q0 ** 2 / z ** 2) / 2
+
+
+def lambda_prime(z, q0):
+    """lambda'(z) = (1 - q0^2/z^2)/2."""
+    return (1 - q0 ** 2 / z ** 2) / 2
+
+
 def theta(x, t, z, q0):
     """Phase theta(x, t, z) = lambda(z) * (x - 2 k(z) t)."""
     return lambda_of_z(z, q0) * (x - 2 * k_of_z(z, q0) * t)
 
 
 def theta_prime(x, t, z, q0):
-    """Analytic d(theta)/dz at fixed (x, t).
-
-    lambda'(z) = (1 - q0^2/z^2)/2 and k'(z) = (1 + q0^2/z^2)/2.
-    """
-    q0sq = q0 ** 2
-    lam_p = (1 - q0sq / z ** 2) / 2
-    k_p = (1 + q0sq / z ** 2) / 2
-    return lam_p * (x - 2 * k_of_z(z, q0) * t) - 2 * lambda_of_z(z, q0) * k_p * t
+    """Analytic d(theta)/dz at fixed (x, t)."""
+    return (lambda_prime(z, q0) * (x - 2 * k_of_z(z, q0) * t)
+            - 2 * lambda_of_z(z, q0) * k_prime(z, q0) * t)

@@ -95,6 +95,10 @@ class Plan:
                              f"got {self.window!r}")
         for v in self.window:
             _number(v, "window")
+        x_min, x_max, t_min, t_max = self.window
+        if not (x_min < x_max and t_min < t_max):
+            raise ValueError("window needs x_min < x_max and t_min < t_max, "
+                             f"got {list(self.window)}")
         _integer(self.residual_n, "residual_n", 2)
         _number(self.h, "h", positive=True)
         if self.boundary_L is not None:

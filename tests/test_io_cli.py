@@ -227,6 +227,8 @@ def _edited(raw, path, value):
     (("schema",), True, "SchemaVersion"),
     (("verification",), {"evolution": {"bogus": 1}}, "BadPlan"),
     (("verification",), {"window": 5}, "BadPlan"),
+    (("verification",), {"window": [0, 0, 0, 0]}, "BadPlan"),
+    (("verification",), {"window": [-5, 5, 3, -3]}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": 0.5}}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": -0.5}}, "BadPlan"),
     (("uncertain",), "no", "BadFlag"),
@@ -245,7 +247,8 @@ def _edited(raw, path, value):
         "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
-        "plan-scalar-window", "plan-empty-evolution-span",
+        "plan-scalar-window", "plan-empty-window", "plan-reversed-window",
+        "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
         "plan-null-boundary_L", "plan-null-evolution", "near-circle-z"])

@@ -1,10 +1,12 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from kundunls import io, verification
+import oracles
+from kundunls import _mathctx, io, verification
 from kundunls.errors import NonPowerOfTwo, PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import (EvolutionSetup, Plan, boundary_errors, boundary_window,
@@ -50,6 +52,62 @@ def test_residual_sweep_is_discretization_limited(fig2a):
     r = [residual_sweep(fig2a, window, n=3, h=h) for h in (4e-3, 2e-3, 1e-3)]
     assert r[0] / r[1] == pytest.approx(16, rel=0.15)
     assert r[1] / r[2] == pytest.approx(16, rel=0.15)
+
+
+#: residual_sweep(cfg, ACCEPTANCE_WINDOW, n=3) as computed when every orbit
+#: constant was recomputed at each field evaluation
+ACCEPTANCE_WINDOW = (-5.0, 5.0, -3.0, 3.0)
+PINNED_SWEEP_N3 = {"fig2a": 4.3816909816187323e-10, "fig4a": 1.7676849061904953e-10,
+                   "fig7a": 2.0820848884925104e-10}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEP_N3))
+def test_residual_sweep_matches_pinned_values(request, name):
+    cfg = request.getfixturevalue(name)
+    r = residual_sweep(cfg, ACCEPTANCE_WINDOW, n=3)
+    assert r == pytest.approx(PINNED_SWEEP_N3[name], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig7a"])
+def test_sweep_evaluator_matches_oracle(request, name):
+    """The dps-40 route of the sweep agrees with the independent dps-50 oracle."""
+    cfg = request.getfixturevalue(name)
+    ctx = _mathctx.mp_context(verification.RESIDUAL_DPS)
+    evaluator, _ = _evaluator(cfg, "a", ctx)
+    zs = [e.z for e in cfg.eigenvalues]
+    As = [e.A_plus for e in cfg.eigenvalues]
+    rng = random.Random(29)
+    for _ in range(4):
+        x, t = rng.uniform(-5, 5), rng.uniform(-3, 3)
+        got = evaluator(ctx.real(x), ctx.real(t))
+        if cfg.pole_order is PoleOrder.DOUBLE:
+            ref = oracles.double_q(cfg.q_minus, zs, As, [e.B_plus for e in cfg.eigenvalues],
+                                   x, t)
+        else:
+            ref = oracles.simple_q(cfg.q_minus, zs, As, x, t)
+        assert abs(got - ref) < 1e-30
+
+
+def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
+    """log A_minus is taken once per mirror point and sweep, not once per
+    field evaluation: 2N calls to the context's log."""
+    calls = []
+    real = _mathctx.mp_context
+
+    def counting(dps):
+        ctx = real(dps)
+        log = ctx.log
+
+        def counted(value):
+            calls.append(value)
+            return log(value)
+
+        ctx.log = counted
+        return ctx
+
+    monkeypatch.setattr(_mathctx, "mp_context", counting)
+    residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3)
+    assert len(calls) == 2 * fig4a.N
 
 
 def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
@@ -164,10 +222,11 @@ def test_split_step_rejects_bad_grid():
 @pytest.mark.parametrize("build, error", [
     (lambda: Plan(residual_n=1, evolution=None), ValueError),
     (lambda: Plan(window=(0, 1)), ValueError),
+    (lambda: Plan(window=(0, 0, 0, 0)), ValueError),
     (lambda: Plan(gates={"bogus": 1}), ValueError),
     (lambda: EvolutionSetup(t1=-2.0), ValueError),
     (lambda: EvolutionSetup(M=100), NonPowerOfTwo),
-], ids=["residual_n-1", "short-window", "unknown-gate", "empty-span", "M-100"])
+], ids=["residual_n-1", "short-window", "empty-window", "unknown-gate", "empty-span", "M-100"])
 def test_plan_and_setup_check_their_fields(build, error):
     """A plan built in Python is held to the rules a config's plan is."""
     with pytest.raises(error):
