@@ -11,8 +11,7 @@ from pathlib import Path
 import click
 
 from . import fields, io, scattering, verification
-from .errors import (ConfigParseError, ConfigValidationError, Diagnostic,
-                     EvaluationAtPole, KunduNLSError)
+from .errors import Diagnostic, EvaluationAtPole, KunduNLSError
 from .spectrum import derive_orbit
 from .verification import EvolutionSetup
 
@@ -30,31 +29,13 @@ def _resolve_threads(threads):
 
 
 def _or_exit(fn, *args, **kwargs):
-    """fn(*args, **kwargs); a package error prints ``error: ...`` and exits 1."""
+    """fn(*args, **kwargs); a package error or an OS error (an unreadable
+    config, an output path that cannot be written) prints ``error: ...`` and
+    exits 1."""
     try:
         return fn(*args, **kwargs)
-    except KunduNLSError as exc:
+    except (KunduNLSError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-
-
-def _load(config):
-    try:
-        return io.load_config(config)
-    except FileNotFoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except ConfigParseError as exc:
-        where = ""
-        if exc.line is not None:
-            where = f" (line {exc.line}, column {exc.column})"
-        click.echo(f"error: invalid JSON{where}: {exc}", err=True)
-        sys.exit(1)
-    except ConfigValidationError as exc:
-        click.echo("error: invalid configuration", err=True)
-        for d in exc.diagnostics:
-            hint = f" [{d.hint}]" if d.hint else ""
-            click.echo(f"  {d.code}: {d.message}{hint}", err=True)
         sys.exit(1)
 
 
@@ -85,7 +66,7 @@ def main():
 @threads_option
 def construct(config, out, emit_gnuplot, sign_convention, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
-    run = _load(config)
+    run = _or_exit(io.load_config, config)
     _resolve_threads(threads)  # still checked, though output never depends on it
     orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
     g = run.grid
@@ -93,13 +74,13 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
     grid = fields.evaluate_grid(run.cfg, orbit, xs, ts)
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    io.write_grid_csv(grid, outdir / f"{run.name}.csv")
-    io.write_grid_json(grid, outdir / f"{run.name}.json")
-    io.render_pgm(grid, outdir / f"{run.name}.pgm")
+    _or_exit(outdir.mkdir, parents=True, exist_ok=True)
+    for write, ext in ((io.write_grid_csv, "csv"), (io.write_grid_json, "json"),
+                       (io.render_pgm, "pgm")):
+        _or_exit(write, grid, outdir / f"{run.name}.{ext}")
     if emit_gnuplot:
-        io.emit_gnuplot(f"{run.name}.csv", outdir / f"{run.name}.gp",
-                        title=run.name)
+        _or_exit(io.emit_gnuplot, f"{run.name}.csv", outdir / f"{run.name}.gp",
+                 title=run.name)
     counts = Counter(flag for row in grid.flags for flag in row)
     bad = counts["near_singular"] + counts["singular"]
     if bad:
@@ -113,7 +94,7 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
 @sign_option
 def check(config, sign_convention):
     """Run the verification battery and print the report as JSON."""
-    run = _load(config)
+    run = _or_exit(io.load_config, config)
     report = _or_exit(verification.verify, run.cfg, plan=run.plan,
                       convention=sign_convention)
     payload = report.to_dict()
@@ -132,7 +113,7 @@ def check(config, sign_convention):
 @sign_option
 def evolve(config, sign_convention):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
-    run = _load(config)
+    run = _or_exit(io.load_config, config)
     setup = run.plan.evolution or EvolutionSetup()
     err, reason = _or_exit(verification.evolution_step, run.cfg, setup, sign_convention)
     payload = {"config": run.name, "setup": asdict(setup)}
@@ -150,7 +131,7 @@ def evolve(config, sign_convention):
 @seed_option
 def audit(config, sign_convention, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
-    run = _load(config)
+    run = _or_exit(io.load_config, config)
     orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
     diags = [scattering.check_theta_condition(orbit)]
     diags += scattering.check_symmetries(orbit)

@@ -9,19 +9,9 @@ determinant form exists only as a cross-check.
 from dataclasses import dataclass
 from functools import partial
 
-from . import _mathctx, reconstruct
+from . import reconstruct
 from .spectrum import OrbitTable
 from .uniformization import k_prime, lambda_of_z, lambda_prime
-
-
-@dataclass
-class DoublePoleSystem:
-    """Block system H (mu, mu') = rhs at one (x, t); H is a list of rows."""
-
-    H: list
-    rhs: list
-    Cn_hat_weight: list  # A_minus[xi_hat_n] e^{2 i theta(xi_hat_n)}
-    Dn_hat: list
 
 
 @dataclass(frozen=True)
@@ -57,8 +47,12 @@ def _constants(orbit: OrbitTable, ctx) -> _Constants:
     )
 
 
-def _system(orbit: OrbitTable, x, t, ctx, scaled):
-    """Rows, rhs, scaled weights w and D_hat at one point (or one x array)."""
+def build(orbit: OrbitTable, x, t, ctx, scaled=True):
+    """Rows and rhs of the block system, and r = (w D_hat, w).
+
+    Columns are optionally log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n
+    + D_hat_n mu_n), which is q_minus - s i r^T y.
+    """
     const = reconstruct.prepared(orbit, ctx, _constants)
     w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx, scaled)
     two_i = const.weights.two_i
@@ -77,23 +71,7 @@ def _system(orbit: OrbitTable, x, t, ctx, scaled):
         mup2[s] = cd[s] + k3 * csc[s]
         top.append(mu + c)
         bottom.append(mu2 + mup2)
-    return top + bottom, const.rhs, w, dh
-
-
-def build(orbit: OrbitTable, x, t, ctx, scaled=True):
-    """Rows and rhs of the block system, and r = (w D_hat, w).
-
-    Columns are optionally log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n
-    + D_hat_n mu_n), which is q_minus - s i r^T y.
-    """
-    rows, rhs, w, dh = _system(orbit, x, t, ctx, scaled)
-    return rows, rhs, [wj * dj for wj, dj in zip(w, dh)] + w
-
-
-def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> DoublePoleSystem:
-    """Literal (unscaled) block system; valid while the weights are representable."""
-    rows, rhs, w, dh = _system(orbit, x, t, ctx, scaled=False)
-    return DoublePoleSystem(rows, rhs, w, dh)
+    return top + bottom, const.rhs, [wj * dj for wj, dj in zip(w, dh)] + w
 
 
 evaluate_q = partial(reconstruct.evaluate_q, build)

@@ -36,20 +36,24 @@ class StencilEvaluationFailure(KunduNLSError):
 
 
 class ConfigParseError(KunduNLSError):
-    """Configuration file is not valid JSON."""
+    """Configuration file is not UTF-8 text holding valid JSON."""
 
     def __init__(self, message, line=None, column=None):
-        super().__init__(message)
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(f"invalid JSON{where}: {message}")
         self.line = line
         self.column = column
 
 
 class ConfigValidationError(KunduNLSError):
-    """Configuration violates a structural or spectral invariant."""
+    """Configuration violates a structural or spectral invariant; the message
+    lists one ``  Code: message [hint]`` line per diagnostic."""
 
     def __init__(self, diagnostics):
-        super().__init__("; ".join(d.message for d in diagnostics))
         self.diagnostics = list(diagnostics)
+        super().__init__("invalid configuration" + "".join(
+            f"\n  {d.code}: {d.message}" + (f" [{d.hint}]" if d.hint else "")
+            for d in self.diagnostics))
 
 
 class NearSingularWarning(UserWarning):

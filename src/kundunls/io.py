@@ -40,7 +40,8 @@ class RunConfig:
 
 def _as_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value)):
         raise ConfigValidationError([Diagnostic(
             "BadComplex", f"{where} must be a [re, im] pair, got {value!r}")])
     try:
@@ -147,9 +148,12 @@ def resolve_config_path(spec: str):
 
 def load_config(path) -> RunConfig:
     path = resolve_config_path(str(path))
-    text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ConfigParseError("arrays or objects nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(exc), line=exc.lineno, column=exc.colno) from exc
 

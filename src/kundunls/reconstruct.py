@@ -2,11 +2,10 @@
 
 A pole module supplies ``build(orbit, x, t, ctx)`` returning ``(rows, rhs,
 r)``: the column-scaled system A y = b at one point and the reconstruction
-row r, so that q = q_minus - s i r^T A^{-1} b with s the convention's
-reconstruction sign.  This module owns the column scaling, the scalar LU
-solve route, the batched float route for grid rows, the bordered-determinant
-route (kept a separate code path), the near-singularity check and the
-per-point flags.
+row r, so that q = q_minus - s i r^T A^{-1} b with s = ``orbit.sign``.  This
+module owns the column scaling, the scalar LU solve route, the batched float
+route for grid rows, the bordered-determinant route (kept a separate code
+path), the near-singularity check and the per-point flags.
 
 The exponential weights are carried in log form and each column is rescaled
 by exp(-max(Re log w_j, 0)), so fields stay evaluable far out on the
@@ -27,7 +26,7 @@ import numpy
 
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
-from .spectrum import SIGN_CONVENTIONS, OrbitTable
+from .spectrum import OrbitTable
 from .uniformization import k_of_z, lambda_of_z
 
 COND_WARN_THRESHOLD = 1e8
@@ -92,13 +91,12 @@ def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FL
     qm = ctx.convert(orbit.q_minus)
     if not orbit.xi:
         return qm
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
     rows, rhs, r = build(orbit, x, t, ctx)
     bordered = [row + [b] for row, b in zip(rows, rhs)]
     bordered.append(list(r) + [ctx.convert(0)])
     num = linalg.det(bordered)
     den = linalg.det(rows)
-    return qm + rec_sign * ctx.i * (num / den)
+    return qm + orbit.sign * ctx.i * (num / den)
 
 
 def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
@@ -108,14 +106,13 @@ def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
     qm = ctx.convert(orbit.q_minus)
     if not orbit.xi:
         return qm
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
     rows, rhs, r = build(orbit, x, t, ctx)
     try:
         fac = linalg.lu_factor(rows)
     except SingularMatrix as exc:
         raise SingularMatrix(f"singular system at (x={x}, t={t}): {exc}") from exc
     y = fac.solve(rhs)
-    q = qm - rec_sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
+    q = qm - orbit.sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
     if check_condition:
         cond = linalg.cond_estimate(rows, fac)
         if cond > COND_WARN_THRESHOLD:
@@ -147,7 +144,6 @@ def sample_row(build, orbit: OrbitTable, xs, t: float):
     p = len(xs)
     if not orbit.xi:
         return [(complex(orbit.q_minus), "ok", 1.0)] * p
-    _, rec_sign = SIGN_CONVENTIONS[orbit.sign_convention]
     with numpy.errstate(all="ignore"):
         try:
             rows, rhs, r = build(orbit, xs, t, _mathctx.NUMPY)
@@ -171,7 +167,7 @@ def sample_row(build, orbit: OrbitTable, xs, t: float):
         cond = (numpy.abs(a).sum(axis=1).max(axis=1)
                 * numpy.abs(inv).sum(axis=1).max(axis=1))
         y = (inv @ b[:, :, None])[:, :, 0]
-        q = complex(orbit.q_minus) - rec_sign * 1j * (rvec * y).sum(axis=1)
+        q = complex(orbit.q_minus) - orbit.sign * 1j * (rvec * y).sum(axis=1)
     bad |= ~(numpy.isfinite(cond) & numpy.isfinite(q))
     return [_SINGULAR if bad_k else
             (q_k, "near_singular" if cond_k > COND_WARN_THRESHOLD else "ok", cond_k)

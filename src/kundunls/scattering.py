@@ -9,7 +9,7 @@ import cmath
 import math
 
 from .errors import Diagnostic, EvaluationAtPole
-from .spectrum import SIGN_CONVENTIONS, OrbitTable, PoleOrder
+from .spectrum import OrbitTable, PoleOrder
 
 _POLE_TOL = 1e-13
 
@@ -91,7 +91,6 @@ def check_symmetries(orbit: OrbitTable, tol: float = 1e-12):
     O(1) relative error in exactly the relation it violates.
     """
     order = orbit.cfg.pole_order
-    sym_sign, _ = SIGN_CONVENTIONS[orbit.sign_convention]
     qm = orbit.cfg.q_minus
     q0sq = orbit.Q0 ** 2
     n_eigs = orbit.N
@@ -115,10 +114,10 @@ def check_symmetries(orbit: OrbitTable, tol: float = 1e-12):
             ratio = qm * qm / (z * z)
         else:
             ratio = q0sq * q0sq * qm / (z ** 4 * qm.conjugate())
-        e1 = max(e1, _rel_err(orbit.A_minus_xihat[n], sym_sign * ratio * a))
+        e1 = max(e1, _rel_err(orbit.A_minus_xihat[n], orbit.sign * ratio * a))
         e2 = max(e2, _rel_err(orbit.A_minus_xihat[n_eigs + n], -a.conjugate()))
         e3 = max(e3, _rel_err(orbit.A_plus_xi[n_eigs + n],
-                              -sym_sign * (ratio * a).conjugate()))
+                              -orbit.sign * (ratio * a).conjugate()))
     add("NormingChainFirst", e1)
     add("NormingChainConjugate", e2)
     add("NormingChainExtended", e3)

@@ -19,11 +19,9 @@ from .errors import ContourEigenvalue, Diagnostic, DuplicateEigenvalue
 
 log = logging.getLogger(__name__)
 
-#: Convention name -> (symmetry-chain sign, reconstruction sign).
-SIGN_CONVENTIONS = {
-    "a": (1, 1),
-    "b": (-1, -1),
-}
+#: Convention name -> its sign, which multiplies both the second-symmetry
+#: chain and the reconstruction term.
+SIGN_CONVENTIONS = {"a": 1, "b": -1}
 
 #: Adjudicated empirically on the one-breather configuration; see the golden
 #: residual test.
@@ -92,14 +90,23 @@ class OrbitTable:
     B_plus_xi: tuple = ()
     B_minus_xihat: tuple = ()
     q_plus: complex = 0j
-    canonical_z: tuple = ()
     #: per-context constants of the pole modules, filled on first use by
     #: ``reconstruct.prepared``; a replaced orbit starts empty
     prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
-        return len(self.canonical_z)
+        return len(self.xi) // 2
+
+    @property
+    def canonical_z(self) -> tuple:
+        """The canonical eigenvalues, the first N orbit points."""
+        return self.xi[:self.N]
+
+    @property
+    def sign(self) -> int:
+        """The convention's sign, +1 for "a" and -1 for "b"."""
+        return SIGN_CONVENTIONS[self.sign_convention]
 
     @property
     def q_minus(self):
@@ -121,7 +128,7 @@ def resolve_convention(convention: str) -> str:
 def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> OrbitTable:
     """Build the full 2N orbit with all derived constants."""
     convention = resolve_convention(convention)
-    sym_sign, _ = SIGN_CONVENTIONS[convention]
+    sign = SIGN_CONVENTIONS[convention]
     q0 = cfg.Q0
     if not q0 > 0:
         raise ValueError("nonzero boundary required: |q_minus| > 0")
@@ -155,9 +162,9 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
         else:
             ratio = qm * qm / (z * z)
         a_plus[n] = a
-        a_minus[n] = sym_sign * ratio * a
+        a_minus[n] = sign * ratio * a
         a_minus[n_eigs + n] = -a.conjugate()
-        a_plus[n_eigs + n] = -sym_sign * (ratio * a).conjugate()
+        a_plus[n_eigs + n] = -sign * (ratio * a).conjugate()
         if double:
             b = conv(e.B_plus)
             bshift = (z * z / q0sq) * (b - 2 / z)
@@ -185,7 +192,6 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
         B_plus_xi=tuple(b_plus),
         B_minus_xihat=tuple(b_minus),
         q_plus=q_plus,
-        canonical_z=tuple(zs),
     )
 
 

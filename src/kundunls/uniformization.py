@@ -27,13 +27,3 @@ def lambda_prime(z, q0):
     """lambda'(z) = (1 - q0^2/z^2)/2."""
     return (1 - q0 ** 2 / z ** 2) / 2
 
-
-def theta(x, t, z, q0):
-    """Phase theta(x, t, z) = lambda(z) * (x - 2 k(z) t)."""
-    return lambda_of_z(z, q0) * (x - 2 * k_of_z(z, q0) * t)
-
-
-def theta_prime(x, t, z, q0):
-    """Analytic d(theta)/dz at fixed (x, t)."""
-    return (lambda_prime(z, q0) * (x - 2 * k_of_z(z, q0) * t)
-            - 2 * lambda_of_z(z, q0) * k_prime(z, q0) * t)

@@ -368,5 +368,5 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
         evolution_linf_error=evo_err,
         evolution_reason=evo_reason,
         warnings=warnings_list,
-        gates=plan.gates,
+        gates=dict(plan.gates),
     )

@@ -4,8 +4,8 @@ import random
 import mpmath
 
 import oracles
-from kundunls.double_pole import (assemble, evaluate_q, evaluate_q_det,
-                                  point_sample)
+from kundunls import _mathctx
+from kundunls.double_pole import build, evaluate_q, evaluate_q_det, point_sample
 from kundunls.fields import evaluate_grid
 from kundunls.linalg import lu_factor
 from kundunls.simple_pole import evaluate_q as simple_evaluate_q
@@ -17,16 +17,16 @@ FIG7A_Q00 = 0.30864303513483424 + 0.5963640002707344j  # frozen golden value
 
 def test_system_dimensions_and_origin_simplification(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    system = assemble(orbit, 0.0, 0.0)
-    assert [len(row) for row in system.H] == [4] * 4
+    rows, _, r = build(orbit, 0.0, 0.0, _mathctx.FLOAT, scaled=False)
+    assert [len(row) for row in rows] == [4] * 4
     # theta(0,0,.) = 0: the weights reduce to the bare norming constants
-    for w, a in zip(system.Cn_hat_weight, orbit.A_minus_xihat):
+    for w, a in zip(r[2 * orbit.N:], orbit.A_minus_xihat):
         assert abs(w - a) < 1e-15
 
 
 def test_assembled_entries_match_direct_formulas(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    system = assemble(orbit, 1.0, 0.5)
+    rows, _, _ = build(orbit, 1.0, 0.5, _mathctx.FLOAT, scaled=False)
     with mpmath.workdps(40):
         q0 = 1.0
         for s in range(2):
@@ -46,7 +46,7 @@ def test_assembled_entries_match_direct_formulas(fig7a):
                     (2 + s, 2 + j): c / d + (1j / mpmath.mpc(orbit.xi[s]) ** 3) * (s == j),
                 }
                 for (r, col), ref in blocks.items():
-                    got = system.H[r][col]
+                    got = rows[r][col]
                     assert abs(got - complex(ref)) <= 1e-11 * (1 + abs(complex(ref)))
 
 
@@ -80,12 +80,10 @@ def test_determinant_form_agrees_with_linear_form(fig7a):
 
 def test_solve_system_unknowns_reproduce_field(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    system = assemble(orbit, 0.4, -0.2)
-    y = lu_factor(system.H).solve(system.rhs)
-    mu, mup = y[:2], y[2:]
-    q = orbit.q_minus - 1j * sum(
-        w * (mp_ + d * m)
-        for w, mp_, d, m in zip(system.Cn_hat_weight, mup, system.Dn_hat, mu))
+    rows, rhs, r = build(orbit, 0.4, -0.2, _mathctx.FLOAT, scaled=False)
+    y = lu_factor(rows).solve(rhs)
+    # r = (w D_hat, w), so r^T y = sum_n w_n (mu'_n + D_hat_n mu_n)
+    q = orbit.q_minus - 1j * sum(rj * yj for rj, yj in zip(r, y))
     assert abs(q - evaluate_q(orbit, 0.4, -0.2)) < 1e-12
 
 

@@ -240,6 +240,8 @@ def _edited(raw, path, value):
     (("verification",), {"evolution": None}, "BadPlan"),
     (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
      "ContourEigenvalue"),
+    (("q_minus",), [True, False], "BadComplex"),
+    (("eigenvalues", 0, "z"), [False, True], "BadComplex"),
 ], ids=["nan-epsilon", "inf-gamma0", "nan-q_minus", "huge-q_minus", "nan-z",
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
         "no-A_plus", "eigenvalues-object", "string-epsilon",
@@ -251,7 +253,8 @@ def _edited(raw, path, value):
         "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
-        "plan-null-boundary_L", "plan-null-evolution", "near-circle-z"])
+        "plan-null-boundary_L", "plan-null-evolution", "near-circle-z",
+        "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
@@ -263,6 +266,36 @@ def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, cod
         assert result.exit_code == 1, args
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"{code}:" in result.output
+
+
+def _exits_with_error(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, args
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("error: "), result.output
+
+
+@pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
+def test_cli_unreadable_config_exits_1(tmp_path, command):
+    """A directory, a file that is not UTF-8 text or JSON nested deeper than
+    the parser recurses is an error, not a traceback."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for config in (tmp_path, latin1, deep):
+        _exits_with_error([command, str(config)])
+
+
+def test_cli_unwritable_output_exits_1(tmp_path):
+    """An output directory under a regular file, or an output file that is a
+    directory, is an error, not a traceback."""
+    config = str(_small_fig2a(tmp_path))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _exits_with_error(["construct", config, "--out", str(blocker / "sub")])
+    (tmp_path / "out" / "fig2a.json").mkdir(parents=True)
+    _exits_with_error(["construct", config, "--out", str(tmp_path / "out")])
 
 
 def _small_fig2a(tmp_path, **top):

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from kundunls.uniformization import k_of_z, lambda_of_z, theta, theta_prime
+from kundunls.uniformization import k_of_z, k_prime, lambda_of_z, lambda_prime
 
 
 def nonzero_complex(draw_abs_max=5.0):
@@ -30,17 +30,10 @@ def test_mirror_point_negates_lambda_and_keeps_k(z, q0):
     assert abs(k_of_z(mirror, q0) - k) <= 1e-9 * (1 + abs(k))
 
 
-def test_theta_flips_sign_at_mirror_point():
-    z = 0.7 + 1.9j
-    mirror = -1.3 ** 2 / z
-    assert abs(theta(0.4, -1.1, mirror, 1.3) + theta(0.4, -1.1, z, 1.3)) < 1e-12
-
-
-def test_theta_prime_matches_finite_difference():
+def test_k_and_lambda_primes_match_finite_difference():
     p0 = 1.1 + 0.8j
     q0 = 1.0
-    x, t = 0.9, -0.35
     h = 1e-6
-    num = (theta(x, t, p0 + h, q0) - theta(x, t, p0 - h, q0)) / (2 * h)
-    ana = theta_prime(x, t, p0, q0)
-    assert abs(num - ana) < 1e-8
+    for f, f_prime in ((k_of_z, k_prime), (lambda_of_z, lambda_prime)):
+        num = (f(p0 + h, q0) - f(p0 - h, q0)) / (2 * h)
+        assert abs(num - f_prime(p0, q0)) < 1e-8

@@ -287,6 +287,16 @@ def test_verify_background_config(background_only):
     assert report.evolution_reason == "disabled by plan"
 
 
+def test_report_gates_are_its_own_copy(background_only):
+    """Editing a report's gates changes neither its plan nor the next verdict."""
+    plan = Plan(residual_n=3, evolution=None)
+    report = verify(background_only, plan=plan)
+    report.gates["residual"] = -1.0
+    assert not report.passed
+    assert plan.gates == Plan().gates
+    assert verify(background_only, plan=plan).passed
+
+
 def test_verify_fig4a_marks_evolution_not_applicable(fig4a):
     report = verify(fig4a, plan=Plan(residual_n=3, window=(-1, 1, -1, 1),
                                       evolution=EvolutionSetup(M=256, dt=1e-2)))
