@@ -16,27 +16,28 @@ from .spectrum import derive_orbit
 from .verification import EvolutionSetup
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, threads)
+def _check_threads(threads):
+    """Without --threads, NZBC_THREADS must be an integer; neither changes
+    the output."""
     env = os.environ.get("NZBC_THREADS")
-    if env:
+    if threads is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise click.UsageError(f"NZBC_THREADS={env!r} is not an integer")
-    return 1
 
 
-def _or_exit(fn, *args, **kwargs):
-    """fn(*args, **kwargs); a package error or an OS error (an unreadable
-    config, an output path that cannot be written) prints ``error: ...`` and
-    exits 1."""
-    try:
-        return fn(*args, **kwargs)
-    except (KunduNLSError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+class _ErrorBoundary(click.Group):
+    """The one error boundary of every command: a package error, an OS error
+    (an unreadable config, an output path that cannot be written) or an
+    allocation failure prints ``error: ...`` and exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (KunduNLSError, OSError, MemoryError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 sign_option = click.option(
@@ -51,7 +52,7 @@ seed_option = click.option(
     help="Seed for randomized spot checks.")
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Exact breather/soliton construction on a nonzero background."""
 
@@ -66,21 +67,20 @@ def main():
 @threads_option
 def construct(config, out, emit_gnuplot, sign_convention, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
-    run = _or_exit(io.load_config, config)
-    _resolve_threads(threads)  # still checked, though output never depends on it
-    orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
+    run = io.load_config(config)
+    _check_threads(threads)
+    orbit = derive_orbit(run.cfg, sign_convention)
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
     grid = fields.evaluate_grid(run.cfg, orbit, xs, ts)
     outdir = Path(out)
-    _or_exit(outdir.mkdir, parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)
     for write, ext in ((io.write_grid_csv, "csv"), (io.write_grid_json, "json"),
                        (io.render_pgm, "pgm")):
-        _or_exit(write, grid, outdir / f"{run.name}.{ext}")
+        write(grid, outdir / f"{run.name}.{ext}")
     if emit_gnuplot:
-        _or_exit(io.emit_gnuplot, f"{run.name}.csv", outdir / f"{run.name}.gp",
-                 title=run.name)
+        io.emit_gnuplot(f"{run.name}.csv", outdir / f"{run.name}.gp", title=run.name)
     counts = Counter(flag for row in grid.flags for flag in row)
     bad = counts["near_singular"] + counts["singular"]
     if bad:
@@ -94,9 +94,8 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
 @sign_option
 def check(config, sign_convention):
     """Run the verification battery and print the report as JSON."""
-    run = _or_exit(io.load_config, config)
-    report = _or_exit(verification.verify, run.cfg, plan=run.plan,
-                      convention=sign_convention)
+    run = io.load_config(config)
+    report = verification.verify(run.cfg, plan=run.plan, convention=sign_convention)
     payload = report.to_dict()
     payload["config"] = run.name
     if run.uncertain and not report.passed:
@@ -113,9 +112,9 @@ def check(config, sign_convention):
 @sign_option
 def evolve(config, sign_convention):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
-    run = _or_exit(io.load_config, config)
+    run = io.load_config(config)
     setup = run.plan.evolution or EvolutionSetup()
-    err, reason = _or_exit(verification.evolution_step, run.cfg, setup, sign_convention)
+    err, reason = verification.evolution_step(run.cfg, setup, sign_convention)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:
         payload["linf_error"] = err
@@ -131,8 +130,8 @@ def evolve(config, sign_convention):
 @seed_option
 def audit(config, sign_convention, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
-    run = _or_exit(io.load_config, config)
-    orbit = _or_exit(derive_orbit, run.cfg, sign_convention)
+    run = io.load_config(config)
+    orbit = derive_orbit(run.cfg, sign_convention)
     diags = [scattering.check_theta_condition(orbit)]
     diags += scattering.check_symmetries(orbit)
 
@@ -152,7 +151,7 @@ def audit(config, sign_convention, seed):
     diags.append(Diagnostic(
         "TraceProduct",
         f"max |s11*s22 - 1| = {worst:.3e} over {tried} samples",
-        ok=worst <= 1e-12, value=worst))
+        ok=worst <= scattering.AUDIT_TOL, value=worst))
     payload = {"config": run.name, "seed": seed,
                "diagnostics": [d.to_dict() for d in diags],
                "passed": all(d.ok for d in diags)}

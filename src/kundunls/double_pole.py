@@ -47,14 +47,14 @@ def _constants(orbit: OrbitTable, ctx) -> _Constants:
     )
 
 
-def build(orbit: OrbitTable, x, t, ctx, scaled=True):
+def build(orbit: OrbitTable, x, t, ctx):
     """Rows and rhs of the block system, and r = (w D_hat, w).
 
-    Columns are optionally log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n
-    + D_hat_n mu_n), which is q_minus - s i r^T y.
+    Columns are log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n + D_hat_n
+    mu_n), which is q_minus - s i r^T y.
     """
     const = reconstruct.prepared(orbit, ctx, _constants)
-    w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx, scaled)
+    w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx)
     two_i = const.weights.two_i
     dh = [bm + two_i * (lp * y - lk * t)
           for bm, lp, lk, y in zip(orbit.B_minus_xihat, const.lam_p, const.two_lam_kp, ys)]

@@ -27,10 +27,6 @@ class PeriodicIncompatible(KunduNLSError):
     """Field does not match at the ends of the periodic evolution window."""
 
 
-class NonPowerOfTwo(KunduNLSError):
-    """Spectral grid size must be a power of two."""
-
-
 class StencilEvaluationFailure(KunduNLSError):
     """Field evaluation failed at a finite-difference stencil point."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigParseError, ConfigValidationError, Diagnostic, NonPowerOfTwo
+from .errors import ConfigParseError, ConfigValidationError, Diagnostic
 from .fields import FieldGrid
 from .spectrum import (EigenEntry, PoleOrder, SpectralConfig, validate)
 from .verification import EvolutionSetup, Plan
@@ -107,7 +107,7 @@ def _read_plan(plan) -> Plan:
         elif isinstance(evolution, dict):
             evolution = EvolutionSetup(**evolution)
         return Plan(**{**plan, "evolution": evolution})
-    except (TypeError, ValueError, OverflowError, NonPowerOfTwo) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigValidationError([Diagnostic(
             "BadPlan", f"verification: {exc}")]) from None
 

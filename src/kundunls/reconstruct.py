@@ -72,12 +72,12 @@ def _shift(lw):
     return max(float(lw.real), 0.0)
 
 
-def column_weights(wc: WeightConstants, x, t, ctx, scaled=True):
-    """(w_j e^{-m_j}, e^{-m_j}, x - 2 k_j t) with m_j = max(Re log w_j, 0),
-    or m_j = 0; log w_j = log A_j + 2 i lambda_j (x - 2 k_j t)."""
+def column_weights(wc: WeightConstants, x, t, ctx):
+    """(w_j e^{-m_j}, e^{-m_j}, x - 2 k_j t) with m_j = max(Re log w_j, 0);
+    log w_j = log A_j + 2 i lambda_j (x - 2 k_j t)."""
     ys = [x - two_k * t for two_k in wc.two_k]
     logw = [log_a + wc.two_i * (lam * y) for log_a, lam, y in zip(wc.log_a, wc.lam, ys)]
-    shifts = [_shift(lw) if scaled else 0.0 for lw in logw]
+    shifts = [_shift(lw) for lw in logw]
     return ([ctx.exp(lw - m) for lw, m in zip(logw, shifts)],
             [ctx.exp(ctx.convert(-m)) for m in shifts], ys)
 

@@ -12,6 +12,11 @@ from .errors import Diagnostic, EvaluationAtPole
 from .spectrum import OrbitTable, PoleOrder
 
 _POLE_TOL = 1e-13
+#: Largest error an audit accepts: the theta condition, each symmetry
+#: relation and the trace product s11 s22 = 1.
+AUDIT_TOL = 1e-12
+#: The two relative offsets from z_n of ``zero_order_estimate``'s slope.
+_ORDER_STEPS = (1e-4, 1e-5)
 
 
 def _trace_factors(orbit: OrbitTable, z: complex):
@@ -50,19 +55,19 @@ def trace_s22(orbit: OrbitTable, z: complex) -> complex:
     return out
 
 
-def zero_order_estimate(orbit: OrbitTable, zn: complex,
-                        h1: float = 1e-4, h2: float = 1e-5) -> float:
+def zero_order_estimate(orbit: OrbitTable, zn: complex) -> float:
     """Order of the zero of s11 at zn from the two-scale log-log slope.
 
     (log|s11(zn(1+h1))| - log|s11(zn(1+h2))|) / (log h1 - log h2) cancels the
     constant prefactor that a single-scale ratio would leave behind.
     """
+    h1, h2 = _ORDER_STEPS
     f1 = abs(trace_s11(orbit, zn * (1 + h1)))
     f2 = abs(trace_s11(orbit, zn * (1 + h2)))
     return (math.log(f1) - math.log(f2)) / (math.log(h1) - math.log(h2))
 
 
-def check_theta_condition(orbit: OrbitTable, tol: float = 1e-12) -> Diagnostic:
+def check_theta_condition(orbit: OrbitTable) -> Diagnostic:
     """arg(q_plus/q_minus) must equal -m * sum(arg z_n) mod 2 pi (m = 4 or 8)."""
     m = 4 if orbit.cfg.pole_order is PoleOrder.SIMPLE else 8
     expected = -m * sum(cmath.phase(zn) for zn in orbit.canonical_z)
@@ -70,7 +75,7 @@ def check_theta_condition(orbit: OrbitTable, tol: float = 1e-12) -> Diagnostic:
     resid = (actual - expected + math.pi) % (2 * math.pi) - math.pi
     # |q_plus| must also carry over unchanged
     mod_err = abs(abs(orbit.q_plus) - abs(orbit.cfg.q_minus))
-    ok = abs(resid) <= tol and mod_err <= tol
+    ok = abs(resid) <= AUDIT_TOL and mod_err <= AUDIT_TOL
     return Diagnostic(
         "ThetaCondition",
         f"phase residual {resid:.3e}, modulus mismatch {mod_err:.3e}",
@@ -83,7 +88,7 @@ def _rel_err(lhs, rhs) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def check_symmetries(orbit: OrbitTable, tol: float = 1e-12):
+def check_symmetries(orbit: OrbitTable):
     """Re-derive every chained norming-constant equality and compare.
 
     Each relation is evaluated from the canonical eigenvalues and A_plus
@@ -98,7 +103,7 @@ def check_symmetries(orbit: OrbitTable, tol: float = 1e-12):
 
     def add(code, err):
         out.append(Diagnostic(code, f"max relative error {err:.3e}",
-                              ok=err <= tol, value=err))
+                              ok=err <= AUDIT_TOL, value=err))
 
     err = max(
         (_rel_err(orbit.xi_hat[j], -q0sq / orbit.xi[j]) for j in range(2 * n_eigs)),

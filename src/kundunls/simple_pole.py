@@ -14,7 +14,8 @@ from .spectrum import OrbitTable
 
 @dataclass
 class SimplePoleSystem:
-    """The linear system G mu = -v at one (x, t), G as rows, weights w."""
+    """The column-scaled system G mu = -v at one (x, t), G as rows, scaled
+    weights w, so that q = q_minus + s i w^T mu."""
 
     G: list
     w: list
@@ -28,13 +29,13 @@ def _constants(orbit: OrbitTable, ctx):
     return reconstruct.weight_constants(orbit, ctx), v, d
 
 
-def build(orbit: OrbitTable, x, t, ctx, scaled=True):
-    """Rows of G, b = v and r = w, columns optionally log-rescaled.
+def build(orbit: OrbitTable, x, t, ctx):
+    """Rows of G, b = v and r = w, columns log-rescaled.
 
     G mu = -v and q = q_minus + s i w^T mu, so q = q_minus - s i w^T G^{-1} v.
     """
     wc, v, d = reconstruct.prepared(orbit, ctx, _constants)
-    w, c, _ = reconstruct.column_weights(wc, x, t, ctx, scaled)
+    w, c, _ = reconstruct.column_weights(wc, x, t, ctx)
     rows = []
     for s, ds in enumerate(d):
         row = [wj / dj for wj, dj in zip(w, ds)]
@@ -44,9 +45,8 @@ def build(orbit: OrbitTable, x, t, ctx, scaled=True):
 
 
 def assemble(orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT) -> SimplePoleSystem:
-    """Populate G, w, v literally (no rescaling); valid while the weights are
-    representable.  Evaluation routines use the scaled path instead."""
-    rows, v, w = build(orbit, x, t, ctx, scaled=False)
+    """The system every route solves at (x, t), as a ``SimplePoleSystem``."""
+    rows, v, w = build(orbit, x, t, ctx)
     return SimplePoleSystem(rows, w, v)
 
 

@@ -118,7 +118,7 @@ class OrbitTable:
 
 
 def resolve_convention(convention: str) -> str:
-    if convention in (None, "auto"):
+    if convention == "auto":
         return DEFAULT_SIGN_CONVENTION
     if convention not in SIGN_CONVENTIONS:
         raise ValueError(f"unknown sign convention {convention!r}")

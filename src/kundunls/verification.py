@@ -13,14 +13,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _mathctx, scattering
-from .errors import (NonPowerOfTwo, PeriodicIncompatible, SingularMatrix,
-                     StencilEvaluationFailure)
+from .errors import PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure
 from .fields import POLE_MODULES
-from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
+from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit, resolve_convention
 from .uniformization import lambda_of_z
 
 RESIDUAL_DPS = 40
 PERIODIC_GATE = 1e-8
+#: The stencil (x, t, h) at which ``probe_convention`` compares the conventions.
+PROBE_STENCIL = (0.3, 0.7, 1e-3)
+#: The time at which ``boundary_errors`` compares the field with q_minus, q_plus.
+BOUNDARY_T = 0.0
 
 #: Pass thresholds for the report's overall verdict.  Boundary is looser than
 #: the best configurations achieve because tail decay rates vary by spectrum.
@@ -61,7 +64,7 @@ class EvolutionSetup:
         for name in ("L", "dt", "t0", "t1"):
             _number(getattr(self, name), f"evolution.{name}", positive=name in ("L", "dt"))
         if self.M & (self.M - 1):
-            raise NonPowerOfTwo(f"M = {self.M} is not a power of two")
+            raise ValueError(f"M = {self.M} is not a power of two")
         if not self.t1 > self.t0:
             raise ValueError("evolution span needs t1 > t0")
         span = self.t1 - self.t0
@@ -232,20 +235,12 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     return q
 
 
-def renormalized_mass(q_samples, L: float, Q0: float) -> float:
-    """Trapezoid of |q|^2 - Q0^2 over the periodic window (equals dx * sum)."""
-    q = np.asarray(q_samples)
-    dx = 2 * L / len(q)
-    return float(np.sum(np.abs(q) ** 2 - Q0 ** 2) * dx)
-
-
-def probe_convention(cfg: SpectralConfig, x: float = 0.3, t: float = 0.7,
-                     h: float = 1e-3) -> dict:
-    """Single-point residual magnitude under each registered convention."""
+def probe_convention(cfg: SpectralConfig) -> dict:
+    """Residual magnitude at ``PROBE_STENCIL`` under each registered convention."""
     out = {}
     for name in SIGN_CONVENTIONS:
         evaluator, _ = _evaluator(cfg, name)
-        out[name] = abs(pde_residual(evaluator, cfg, x, t, h))
+        out[name] = abs(pde_residual(evaluator, cfg, *PROBE_STENCIL))
     return out
 
 
@@ -293,12 +288,11 @@ def evolution_step(cfg: SpectralConfig, setup: EvolutionSetup | None,
         return None, f"PeriodicIncompatible: {exc}"
 
 
-def boundary_errors(cfg: SpectralConfig, convention: str = "auto",
-                    L: float = 30.0, t: float = 0.0):
-    """(|q(-L) - q_minus|, |q(+L) - q_plus|)."""
+def boundary_errors(cfg: SpectralConfig, convention: str, L: float):
+    """(|q(-L) - q_minus|, |q(+L) - q_plus|) at t = ``BOUNDARY_T``."""
     evaluator, orbit = _evaluator(cfg, convention)
-    return (abs(evaluator(-L, t) - cfg.q_minus),
-            abs(evaluator(L, t) - orbit.q_plus))
+    return (abs(evaluator(-L, BOUNDARY_T) - cfg.q_minus),
+            abs(evaluator(L, BOUNDARY_T) - orbit.q_plus))
 
 
 def refine_peak(ts, vals, i: int) -> float:
@@ -341,8 +335,7 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
                 f"no sign convention yields a small residual (best {convention}: "
                 f"{probes[convention]:.3e})"
             )
-    elif convention == "auto":
-        convention = "a"
+    convention = resolve_convention(convention)
 
     window, n, h = plan.window, plan.residual_n, plan.h
     residual_max = residual_sweep(cfg, window, n=n, h=h, convention=convention,

@@ -17,7 +17,7 @@ FIG7A_Q00 = 0.30864303513483424 + 0.5963640002707344j  # frozen golden value
 
 def test_system_dimensions_and_origin_simplification(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    rows, _, r = build(orbit, 0.0, 0.0, _mathctx.FLOAT, scaled=False)
+    rows, _, r = build(orbit, 0.0, 0.0, _mathctx.FLOAT)
     assert [len(row) for row in rows] == [4] * 4
     # theta(0,0,.) = 0: the weights reduce to the bare norming constants
     for w, a in zip(r[2 * orbit.N:], orbit.A_minus_xihat):
@@ -26,7 +26,8 @@ def test_system_dimensions_and_origin_simplification(fig7a):
 
 def test_assembled_entries_match_direct_formulas(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    rows, _, _ = build(orbit, 1.0, 0.5, _mathctx.FLOAT, scaled=False)
+    rows, _, _ = build(orbit, 1.0, 0.5, _mathctx.FLOAT)
+    # columns j and 2 + j are scaled by 1 / max(|w_j|, 1)
     with mpmath.workdps(40):
         q0 = 1.0
         for s in range(2):
@@ -38,6 +39,7 @@ def test_assembled_entries_match_direct_formulas(fig7a):
                     + 2j * oracles._theta_prime(1.0, 0.5, zh, q0)
                 d = mpmath.mpc(orbit.xi[s]) - zh
                 c = w / d
+                scale = 1 / max(abs(w), 1)
                 blocks = {
                     (s, j): c * (dhat + 1 / d) - (1j / mpmath.mpc(orbit.xi[s])) * (s == j),
                     (s, 2 + j): c,
@@ -47,7 +49,8 @@ def test_assembled_entries_match_direct_formulas(fig7a):
                 }
                 for (r, col), ref in blocks.items():
                     got = rows[r][col]
-                    assert abs(got - complex(ref)) <= 1e-11 * (1 + abs(complex(ref)))
+                    ref = complex(ref * scale)
+                    assert abs(got - ref) <= 1e-11 * (1 + abs(ref))
 
 
 def test_golden_value_at_origin(fig7a):
@@ -80,7 +83,7 @@ def test_determinant_form_agrees_with_linear_form(fig7a):
 
 def test_solve_system_unknowns_reproduce_field(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    rows, rhs, r = build(orbit, 0.4, -0.2, _mathctx.FLOAT, scaled=False)
+    rows, rhs, r = build(orbit, 0.4, -0.2, _mathctx.FLOAT)
     y = lu_factor(rows).solve(rhs)
     # r = (w D_hat, w), so r^T y = sum_n w_n (mu'_n + D_hat_n mu_n)
     q = orbit.q_minus - 1j * sum(rj * yj for rj, yj in zip(r, y))

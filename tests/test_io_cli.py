@@ -8,9 +8,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kundunls import io, simple_pole
+from kundunls import fields, io, scattering, simple_pole, verification
 from kundunls.cli import main
-from kundunls.errors import ConfigParseError, ConfigValidationError, KunduNLSError
+from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSError,
+                             SingularMatrix)
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import PoleOrder, derive_orbit
 from kundunls.verification import Plan
@@ -273,6 +274,7 @@ def _exits_with_error(args):
     assert result.exit_code == 1, args
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.output.startswith("error: "), result.output
+    return result
 
 
 @pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
@@ -345,6 +347,27 @@ def test_solver_failure_in_verification_exits_1(tmp_path, monkeypatch, command, 
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.output.startswith("error: ") and message in result.output
+
+
+@pytest.mark.parametrize("error", [MemoryError, SingularMatrix])
+@pytest.mark.parametrize("command, module, name", [
+    ("construct", fields, "evaluate_grid"),
+    ("check", verification, "residual_sweep"),
+    ("evolve", verification, "split_step_evolve"),
+    ("audit", scattering, "check_symmetries"),
+], ids=["construct", "check", "evolve", "audit"])
+def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, command, module, name, error):
+    """Any stage that fails with a package error or an allocation failure is
+    an error line, not a traceback."""
+    def stand_in(*args, **kwargs):
+        raise error("stand-in")
+
+    monkeypatch.setattr(module, name, stand_in)
+    cfg = _small_fig2a(tmp_path, verification={
+        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2, "dps": 20})
+    args = [command, str(cfg)] + (["--out", str(tmp_path / "out")]
+                                  if command == "construct" else [])
+    assert "stand-in" in _exits_with_error(args).output
 
 
 def test_config_without_plan_reads_the_default_plan(tmp_path):

@@ -78,10 +78,10 @@ def test_validation_diagnostics():
 
 def test_convention_resolution():
     assert resolve_convention("auto") == "a"
-    assert resolve_convention(None) == "a"
     assert resolve_convention("b") == "b"
-    with pytest.raises(ValueError):
-        resolve_convention("c")
+    for bad in ("c", None):
+        with pytest.raises(ValueError):
+            resolve_convention(bad)
 
 
 def test_double_orbit_carries_derivative_constants(fig7a):
