@@ -2,7 +2,6 @@
 
 import json
 import os
-import random
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -11,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import fields, io, scattering, verification
-from .errors import Diagnostic, EvaluationAtPole, KunduNLSError
+from .errors import KunduNLSError
 from .spectrum import derive_orbit
 from .verification import EvolutionSetup
 
@@ -131,27 +130,7 @@ def evolve(config, sign_convention):
 def audit(config, sign_convention, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
     run = io.load_config(config)
-    orbit = derive_orbit(run.cfg, sign_convention)
-    diags = [scattering.check_theta_condition(orbit)]
-    diags += scattering.check_symmetries(orbit)
-
-    rng = random.Random(seed)
-    worst = 0.0
-    tried = 0
-    while tried < 100:
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z) < 0.1 or abs(abs(z) - orbit.Q0) < 1e-3 or abs(z.imag) < 1e-3:
-            continue
-        try:
-            prod = scattering.trace_s11(orbit, z) * scattering.trace_s22(orbit, z)
-        except EvaluationAtPole:
-            continue
-        worst = max(worst, abs(prod - 1))
-        tried += 1
-    diags.append(Diagnostic(
-        "TraceProduct",
-        f"max |s11*s22 - 1| = {worst:.3e} over {tried} samples",
-        ok=worst <= scattering.AUDIT_TOL, value=worst))
+    diags = scattering.audit(derive_orbit(run.cfg, sign_convention), seed)
     payload = {"config": run.name, "seed": seed,
                "diagnostics": [d.to_dict() for d in diags],
                "passed": all(d.ok for d in diags)}

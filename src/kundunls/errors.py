@@ -11,10 +11,6 @@ class ContourEigenvalue(KunduNLSError):
     """Eigenvalue lies on the continuous spectrum (real axis or circle |z| = Q0)."""
 
 
-class DuplicateEigenvalue(KunduNLSError):
-    """Two eigenvalues coincide after canonicalization."""
-
-
 class SingularMatrix(KunduNLSError):
     """A pivot underflowed during LU factorization."""
 

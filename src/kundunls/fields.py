@@ -51,16 +51,6 @@ class FieldGrid:
     flags: list  # same shape, strings: ok | near_singular | singular
     config_digest: str = ""
 
-    def __post_init__(self):
-        nt, nx = len(self.ts), len(self.xs)
-        for mat in (self.q_values, self.u_values, self.flags):
-            if len(mat) != nt or any(len(row) != nx for row in mat):
-                raise ValueError("grid matrix shape does not match axes")
-        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("xs must be strictly increasing")
-        if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
-            raise ValueError("ts must be strictly increasing")
-
     def to_dict(self) -> dict:
         return {
             "xs": list(self.xs),

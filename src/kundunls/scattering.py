@@ -7,6 +7,7 @@ the solvers happen to produce something plausible.
 
 import cmath
 import math
+import random
 
 from .errors import Diagnostic, EvaluationAtPole
 from .spectrum import OrbitTable, PoleOrder
@@ -17,6 +18,8 @@ _POLE_TOL = 1e-13
 AUDIT_TOL = 1e-12
 #: The two relative offsets from z_n of ``zero_order_estimate``'s slope.
 _ORDER_STEPS = (1e-4, 1e-5)
+#: Seeded points at which ``audit`` compares s11 s22 with 1.
+AUDIT_SAMPLES = 100
 
 
 def _trace_factors(orbit: OrbitTable, z: complex):
@@ -141,3 +144,32 @@ def check_symmetries(orbit: OrbitTable):
         add("DerivativeChainExtended", b3)
 
     return out
+
+
+def check_trace_product(orbit: OrbitTable, seed: int) -> Diagnostic:
+    """max |s11 s22 - 1| over ``AUDIT_SAMPLES`` seeded points of the box
+    [-3, 3]^2, away from the origin, the real axis, the circle |z| = Q0 and
+    the poles of either product."""
+    rng = random.Random(seed)
+    worst = 0.0
+    tried = 0
+    while tried < AUDIT_SAMPLES:
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if abs(z) < 0.1 or abs(abs(z) - orbit.Q0) < 1e-3 or abs(z.imag) < 1e-3:
+            continue
+        try:
+            prod = trace_s11(orbit, z) * trace_s22(orbit, z)
+        except EvaluationAtPole:
+            continue
+        worst = max(worst, abs(prod - 1))
+        tried += 1
+    return Diagnostic("TraceProduct",
+                      f"max |s11*s22 - 1| = {worst:.3e} over {tried} samples",
+                      ok=worst <= AUDIT_TOL, value=worst)
+
+
+def audit(orbit: OrbitTable, seed: int) -> list[Diagnostic]:
+    """The audit battery: the phase condition, every symmetry relation and
+    the trace product at seeded points."""
+    return [check_theta_condition(orbit), *check_symmetries(orbit),
+            check_trace_product(orbit, seed)]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _mathctx
-from .errors import ContourEigenvalue, Diagnostic, DuplicateEigenvalue
+from .errors import ConfigValidationError, ContourEigenvalue, Diagnostic
 
 log = logging.getLogger(__name__)
 
@@ -44,13 +44,20 @@ class EigenEntry:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Complete input defining one exact solution."""
+    """Complete input defining one exact solution; checked on construction,
+    so an inadmissible one raises ``ConfigValidationError`` listing every
+    violated rule."""
 
     q_minus: complex
     epsilon: float
     gamma0: float
     pole_order: PoleOrder
     eigenvalues: tuple = ()
+
+    def __post_init__(self):
+        diags = _problems(self)
+        if diags:
+            raise ConfigValidationError(diags)
 
     @property
     def Q0(self) -> float:
@@ -129,19 +136,12 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
     """Build the full 2N orbit with all derived constants."""
     convention = resolve_convention(convention)
     sign = SIGN_CONVENTIONS[convention]
-    q0 = cfg.Q0
-    if not q0 > 0:
-        raise ValueError("nonzero boundary required: |q_minus| > 0")
     cz = []
     for e in cfg.eigenvalues:
-        z = canonicalize_eigenvalue(e.z, q0)
+        z = canonicalize_eigenvalue(e.z, cfg.Q0)
         if z != e.z:
             log.info("eigenvalue %s canonicalized to %s", e.z, z)
         cz.append(z)
-    duplicates = _duplicates(dict(enumerate(cz)), cfg.pole_order)
-    if duplicates:
-        d = duplicates[0]
-        raise DuplicateEigenvalue(d.message + (f" ({d.hint})" if d.hint else ""))
 
     conv = ctx.convert
     qm = conv(cfg.q_minus)
@@ -195,8 +195,11 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
     )
 
 
-def validate(cfg: SpectralConfig):
-    """Structured invariant check; returns one diagnostic per violation."""
+def _problems(cfg: SpectralConfig):
+    """One diagnostic per violated input rule, empty for admissible data."""
+    if not isinstance(cfg.pole_order, PoleOrder):
+        return [Diagnostic("PoleOrder", "pole_order must be a PoleOrder, "
+                           f"got {cfg.pole_order!r}")]
     values = [("epsilon", cfg.epsilon), ("gamma0", cfg.gamma0),
               ("q_minus", cfg.q_minus)]
     for idx, e in enumerate(cfg.eigenvalues):
@@ -228,27 +231,22 @@ def validate(cfg: SpectralConfig):
                                  "or underflow double precision")]
 
 
-def _duplicates(zs: dict, pole_order: PoleOrder):
-    """One DuplicateEigenvalue diagnostic per pair of equal canonical
-    eigenvalues; zs maps each eigenvalue's index to its canonical value."""
-    hint = "use double-pole mode" if pole_order is PoleOrder.SIMPLE else None
-    items = list(zs.items())
-    return [Diagnostic("DuplicateEigenvalue", f"eigenvalues {i} and {j} coincide "
-                       f"at {zi} after canonicalization", hint=hint)
-            for n, (i, zi) in enumerate(items) for j, zj in items[n + 1:] if zi == zj]
-
-
 def _eigenvalue_problems(cfg: SpectralConfig):
-    """Contour, zero-norming-constant and duplicate eigenvalue diagnostics."""
+    """Contour, zero-norming-constant and duplicate eigenvalue diagnostics;
+    duplicates are equal canonical eigenvalues."""
     out = []
-    canon = {}
+    canon = []
     for idx, e in enumerate(cfg.eigenvalues):
         try:
-            canon[idx] = canonicalize_eigenvalue(e.z, cfg.Q0)
+            canon.append((idx, canonicalize_eigenvalue(e.z, cfg.Q0)))
         except ContourEigenvalue as exc:
             out.append(Diagnostic("ContourEigenvalue", f"eigenvalues[{idx}]: {exc}"))
             continue
         if e.A_plus == 0:
             out.append(Diagnostic("NormingConstantZero",
                                   f"A_plus of eigenvalue {idx} must be nonzero"))
-    return out + _duplicates(canon, cfg.pole_order)
+    hint = "use double-pole mode" if cfg.pole_order is PoleOrder.SIMPLE else None
+    return out + [Diagnostic("DuplicateEigenvalue", f"eigenvalues {i} and {j} coincide "
+                             f"at {zi} after canonicalization", hint=hint)
+                  for n, (i, zi) in enumerate(canon) for j, zj in canon[n + 1:]
+                  if zi == zj]

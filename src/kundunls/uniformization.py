@@ -3,8 +3,8 @@
 The single complex coordinate z replaces the two-sheeted surface of the
 spectral parameter k.  All maps here are rational in z, so they evaluate
 unchanged for builtin complex or mpmath scalars; each takes z != 0 and the
-background amplitude q0 > 0, as ``spectrum.validate`` guarantees for every
-orbit point.
+background amplitude q0 > 0, which every orbit point of a ``SpectralConfig``
+has, since the config checks its data when it is constructed.
 """
 
 

@@ -78,17 +78,15 @@ class Plan:
     """How ``check`` verifies a config and how ``evolve`` steps it: the
     config's ``verification`` object, each missing key at its default.
 
-    ``boundary_L`` None means ``boundary_window(orbit)``; ``gates`` names
-    some of ``DEFAULT_GATES`` and holds all of them once built; ``evolution``
-    None disables the split-step check in ``check``.  Each field is checked
-    on construction, so a bad value raises ``ValueError`` or ``TypeError``.
+    ``gates`` names some of ``DEFAULT_GATES`` and holds all of them once
+    built; ``evolution`` None disables the split-step check in ``check``.
+    Each field is checked on construction, so a bad value raises
+    ``ValueError`` or ``TypeError``.
     """
 
     window: tuple = (-5.0, 5.0, -3.0, 3.0)
     residual_n: int = 21
     h: float = 1e-3
-    boundary_L: float | None = None
-    dps: int = RESIDUAL_DPS
     gates: dict = field(default_factory=dict)
     evolution: EvolutionSetup | None = EvolutionSetup()
 
@@ -104,9 +102,6 @@ class Plan:
                              f"got {list(self.window)}")
         _integer(self.residual_n, "residual_n", 2)
         _number(self.h, "h", positive=True)
-        if self.boundary_L is not None:
-            _number(self.boundary_L, "boundary_L", positive=True)
-        _integer(self.dps, "dps", 1)
         if not isinstance(self.gates, dict) or set(self.gates) - set(DEFAULT_GATES):
             raise ValueError(f"gates must map some of {sorted(DEFAULT_GATES)} "
                              f"to numbers, got {self.gates!r}")
@@ -179,9 +174,10 @@ def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
 
 
 def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
-                   convention: str = "auto", dps: int = RESIDUAL_DPS) -> float:
-    """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max)."""
-    ctx = _mathctx.mp_context(dps)
+                   convention: str = "auto") -> float:
+    """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
+    evaluated with ``RESIDUAL_DPS`` digits."""
+    ctx = _mathctx.mp_context(RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, convention, ctx)
     x_min, x_max, t_min, t_max = window
     # build the sample points in working precision: a coordinate rounded to
@@ -338,14 +334,12 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
     convention = resolve_convention(convention)
 
     window, n, h = plan.window, plan.residual_n, plan.h
-    residual_max = residual_sweep(cfg, window, n=n, h=h, convention=convention,
-                                  dps=plan.dps)
+    residual_max = residual_sweep(cfg, window, n=n, h=h, convention=convention)
     grid_spec = (f"{n}x{n} grid on x in [{window[0]}, {window[1]}], "
                  f"t in [{window[2]}, {window[3]}], h={h}")
 
     orbit = derive_orbit(cfg, convention)
-    L = boundary_window(orbit) if plan.boundary_L is None else plan.boundary_L
-    b_errs = boundary_errors(cfg, convention, L=L)
+    b_errs = boundary_errors(cfg, convention, L=boundary_window(orbit))
 
     theta_diag = scattering.check_theta_condition(orbit)
     if not theta_diag.ok:

@@ -102,12 +102,6 @@ def test_pgm_orientation_top_row_is_t_max(tmp_path):
     assert body == bytes([255, 0])  # t=1 row first, brighter
 
 
-def test_grid_validation_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        FieldGrid(xs=[0.0, 0.0], ts=[0.0], q_values=[[0j, 0j]],
-                  u_values=[[0j, 0j]], flags=[["ok", "ok"]])
-
-
 def test_cli_presets_lists_corpus():
     result = CliRunner().invoke(main, ["presets"])
     assert result.exit_code == 0
@@ -237,7 +231,7 @@ def _edited(raw, path, value):
     (("verificaton",), {"evolution": False}, "UnknownKey"),
     (("grid", "ny"), 5, "UnknownKey"),
     (("eigenvalues", 0, "b_plus"), [1.0, 0.0], "UnknownKey"),
-    (("verification",), {"boundary_L": None}, "BadPlan"),
+    (("verification",), {"boundary_L": 40}, "BadPlan"),
     (("verification",), {"evolution": None}, "BadPlan"),
     (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
      "ContourEigenvalue"),
@@ -254,7 +248,7 @@ def _edited(raw, path, value):
         "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
-        "plan-null-boundary_L", "plan-null-evolution", "near-circle-z",
+        "plan-boundary_L", "plan-null-evolution", "near-circle-z",
         "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
@@ -314,7 +308,7 @@ def test_check_and_evolve_share_the_evolution_gate(tmp_path, gate, code):
     judge it by the plan's gate, not by the default 1e-5."""
     cfg = _small_fig2a(tmp_path, verification={
         "gates": {"evolution": gate}, "evolution": {"dt": 0.01},
-        "residual_n": 2, "dps": 20})
+        "residual_n": 2})
     check = CliRunner().invoke(main, ["check", str(cfg)])
     evolve = CliRunner().invoke(main, ["evolve", str(cfg)])
     err = json.loads(evolve.output)["linf_error"]
@@ -342,7 +336,7 @@ def test_solver_failure_in_verification_exits_1(tmp_path, monkeypatch, command, 
     traceback and not a NaN error."""
     monkeypatch.setattr(simple_pole, name, stand_in)
     cfg = _small_fig2a(tmp_path, verification={
-        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2, "dps": 20})
+        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2})
     result = CliRunner().invoke(main, [command, str(cfg), "--sign-convention", "a"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
@@ -364,7 +358,7 @@ def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, command, module, name,
 
     monkeypatch.setattr(module, name, stand_in)
     cfg = _small_fig2a(tmp_path, verification={
-        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2, "dps": 20})
+        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2})
     args = [command, str(cfg)] + (["--out", str(tmp_path / "out")]
                                   if command == "construct" else [])
     assert "stand-in" in _exits_with_error(args).output

@@ -8,7 +8,7 @@ import pytest
 
 from kundunls import double_pole, fields, io, linalg, simple_pole
 from kundunls.errors import NearSingularWarning, SingularMatrix
-from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit, validate
+from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 
 
 def test_point_sample_factorizes_once_per_point(monkeypatch, fig2a, fig4a, fig7a):
@@ -87,7 +87,6 @@ def test_sample_row_flags_unrepresentable_systems_singular(order, z):
     """A weight or pole out of double range flags every point singular, as
     the generic LU route does, whether the row is one batch or single points."""
     cfg = SpectralConfig(1 + 0j, 0.5, 0.0, order, (EigenEntry(z, 1 + 0j, 1 + 0j),))
-    assert not validate(cfg)
     orbit = derive_orbit(cfg, "a")
     module = fields.POLE_MODULES[order]
     xs = [-1.0, 0.0, 1.0]

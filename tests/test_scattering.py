@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kundunls.errors import EvaluationAtPole
-from kundunls.scattering import (check_symmetries, check_theta_condition,
+from kundunls.scattering import (audit, check_symmetries, check_theta_condition,
                                  trace_s11, trace_s22, zero_order_estimate)
 from kundunls.spectrum import PoleOrder, derive_orbit
 
@@ -102,6 +102,19 @@ def test_symmetries_catch_single_constant_corruption(fig4a):
     assert not diags["NormingChainFirst"].ok
     assert abs(diags["NormingChainFirst"].value - 0.5) < 0.01
     assert diags["NormingChainConjugate"].ok
+
+
+def test_audit_names_the_one_broken_relation(fig4a):
+    orbit = derive_orbit(fig4a, "a")
+    tampered = list(orbit.A_minus_xihat)
+    tampered[0] *= 2
+    bad = dataclasses.replace(orbit, A_minus_xihat=tuple(tampered))
+    diags = audit(bad, seed=3)
+    assert [d.code for d in diags] == [
+        "ThetaCondition", "MirrorPoints", "NormingChainFirst",
+        "NormingChainConjugate", "NormingChainExtended", "TraceProduct"]
+    assert [d.code for d in diags if not d.ok] == ["NormingChainFirst"]
+    assert all(d.ok for d in audit(orbit, seed=3))
 
 
 def test_double_symmetries_catch_derivative_corruption(fig7a):

@@ -1,12 +1,20 @@
 import cmath
+import dataclasses
 import random
 
 import pytest
 
-from kundunls.errors import ContourEigenvalue, DuplicateEigenvalue
+from kundunls.errors import ConfigValidationError, ContourEigenvalue
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
                                canonicalize_eigenvalue, derive_orbit,
-                               resolve_convention, validate)
+                               resolve_convention)
+
+
+def _rejected_codes(*args):
+    """The diagnostic codes that constructing SpectralConfig(*args) raises."""
+    with pytest.raises(ConfigValidationError) as err:
+        SpectralConfig(*args)
+    return [d.code for d in err.value.diagnostics]
 
 
 def test_canonicalization_picks_upper_exterior_member():
@@ -51,29 +59,36 @@ def test_q_plus_trivial_phase_for_imaginary_eigenvalue(fig2a):
 
 
 def test_duplicate_eigenvalue_rejected_with_hint():
-    cfg = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
-                         (EigenEntry(1.5j, 1 + 0j), EigenEntry(1.5j, 1 + 0j)))
-    with pytest.raises(DuplicateEigenvalue, match="double-pole"):
-        derive_orbit(cfg, "a")
-    diags = [d for d in validate(cfg) if not d.ok]
-    assert any(d.code == "DuplicateEigenvalue" for d in diags)
+    with pytest.raises(ConfigValidationError, match=r"DuplicateEigenvalue: .*"
+                       r"\[use double-pole mode\]"):
+        SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
+                       (EigenEntry(1.5j, 1 + 0j), EigenEntry(1.5j, 1 + 0j)))
 
 
 def test_duplicate_detected_across_orbit_members():
     # 0.5j canonicalizes onto 2j, so the pair collides after canonicalization
-    cfg = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
-                         (EigenEntry(0.5j, 1 + 0j), EigenEntry(2j, 1 + 0j)))
-    with pytest.raises(DuplicateEigenvalue):
-        derive_orbit(cfg, "a")
+    assert _rejected_codes(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
+                           (EigenEntry(0.5j, 1 + 0j), EigenEntry(2j, 1 + 0j))
+                           ) == ["DuplicateEigenvalue"]
 
 
 def test_validation_diagnostics():
-    cfg = SpectralConfig(0j, 0.0, 0.0, PoleOrder.SIMPLE, ())
-    codes = {d.code for d in validate(cfg)}
-    assert "EpsilonZero" in codes and "QMinusZero" in codes
-    cfg2 = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
-                          (EigenEntry(1.5j, 0j),))
-    assert any(d.code == "NormingConstantZero" for d in validate(cfg2))
+    assert _rejected_codes(0j, 0.0, 0.0, PoleOrder.SIMPLE, ()) == [
+        "EpsilonZero", "QMinusZero"]
+    assert _rejected_codes(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
+                           (EigenEntry(1.5j, 0j),)) == ["NormingConstantZero"]
+
+
+def test_pole_order_must_be_a_pole_order():
+    """A name in place of the enum is rejected before it can pick a solver."""
+    assert _rejected_codes(1 + 0j, 0.5, 0.0, "double",
+                           (EigenEntry(1.5j, 1 + 0j, 1 + 0j),)) == ["PoleOrder"]
+
+
+def test_replaced_config_is_checked_again(fig2a):
+    with pytest.raises(ConfigValidationError) as err:
+        dataclasses.replace(fig2a, epsilon=0.0)
+    assert [d.code for d in err.value.diagnostics] == ["EpsilonZero"]
 
 
 def test_convention_resolution():
