@@ -8,6 +8,8 @@ three at once would have to be a genuine solution.
 """
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -176,7 +178,15 @@ def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
 def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
                    convention: str = "auto") -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
-    evaluated with ``RESIDUAL_DPS`` digits."""
+    evaluated with ``RESIDUAL_DPS`` digits.
+
+    The t rows are spread over forked worker processes, one per CPU the
+    process may use and at most one per row (see ``_sweep_workers``).  Each
+    node's arithmetic is its own and the maximum is taken over the rows in
+    their original order, so the result has the same bits for any worker
+    count.  No worker outlives the call, and a worker's exception reaches the
+    caller as the same exception.
+    """
     ctx = _mathctx.mp_context(RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, convention, ctx)
     x_min, x_max, t_min, t_max = window
@@ -186,9 +196,66 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
     xs = [mpf(x_min) + (mpf(x_max) - mpf(x_min)) * i / (n - 1) for i in range(n)]
     ts = [mpf(t_min) + (mpf(t_max) - mpf(t_min)) * i / (n - 1) for i in range(n)]
     hh = mpf(h)
+
+    def row(i):
+        return [float(abs(pde_residual(evaluator, cfg, x, ts[i], hh, ctx=ctx)))
+                for x in xs]
+
+    workers = _sweep_workers(n)
+    if workers == 1:
+        rows = [row(i) for i in range(n)]
+    else:
+        # one node here prepares the orbit's constants before the fork, so no
+        # worker repeats them
+        pde_residual(evaluator, cfg, xs[0], ts[0], hh, ctx=ctx)
+        rows = _fork_map(row, n, workers)
     # numpy's max propagates NaN, so a non-finite residual fails the gate
-    return float(np.max([float(abs(pde_residual(evaluator, cfg, x, t, hh, ctx=ctx)))
-                         for t in ts for x in xs]))
+    return float(np.max(rows))
+
+
+def _sweep_workers(n_rows: int) -> int:
+    """Worker processes for n_rows sweep rows: one per CPU in this process's
+    affinity set and at most one per row, or 1 (sweep in process) where the
+    fork start method is missing, this process is daemonic and may not have
+    children, or other threads run, which a forked child could find holding
+    a lock it never releases."""
+    # imported here, so that commands without a sweep do not pay for it
+    import multiprocessing
+
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return min(n_rows, len(os.sched_getaffinity(0)))
+
+
+#: The sweep's row function, set in each forked worker by ``_adopt``.
+_worker_row = None
+
+
+def _adopt(row) -> None:
+    global _worker_row
+    _worker_row = row
+
+
+def _run_row(i: int):
+    return _worker_row(i)
+
+
+def _fork_map(row, n_rows: int, workers: int) -> list:
+    """[row(i) for i in range(n_rows)] over a pool of forked workers.  Fork
+    hands the workers ``row`` as it is in memory, closure and patched state
+    included, so only row indices and results are pickled."""
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_adopt, initargs=(row,))
+    try:
+        return pool.map(_run_row, range(n_rows), chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):

@@ -85,6 +85,25 @@ def test_pole_order_must_be_a_pole_order():
                            (EigenEntry(1.5j, 1 + 0j, 1 + 0j),)) == ["PoleOrder"]
 
 
+@pytest.mark.parametrize("args, code", [
+    ((1 + 0j, "0.5", 0.0, PoleOrder.SIMPLE), "BadNumber"),
+    ((1 + 0j, True, 0.0, PoleOrder.SIMPLE), "BadNumber"),
+    ((1 + 0j, 0.5, None, PoleOrder.SIMPLE), "BadNumber"),
+    ((1 + 0j, 0.5, 0.5j, PoleOrder.SIMPLE), "BadNumber"),
+    (("1", 0.5, 0.0, PoleOrder.SIMPLE), "BadComplex"),
+    ((1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE, (EigenEntry("1.5j", 1 + 0j),)), "BadComplex"),
+    ((1 + 0j, 0.5, 0.0, PoleOrder.DOUBLE, (EigenEntry(1.5j, 1 + 0j, [1, 0]),)),
+     "BadComplex"),
+    ((1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE, (2j,)), "BadEigenvalues"),
+    ((1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE, None), "BadEigenvalues"),
+], ids=["epsilon-str", "epsilon-bool", "gamma0-none", "gamma0-complex", "q_minus-str",
+        "z-str", "B_plus-list", "bare-eigenvalue", "eigenvalues-none"])
+def test_wrong_type_is_a_named_diagnostic(args, code):
+    """A field of the wrong type gets the code io gives the same JSON value,
+    not an AttributeError from the checks that assume numbers."""
+    assert _rejected_codes(*args) == [code]
+
+
 def test_replaced_config_is_checked_again(fig2a):
     with pytest.raises(ConfigValidationError) as err:
         dataclasses.replace(fig2a, epsilon=0.0)

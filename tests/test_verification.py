@@ -1,6 +1,9 @@
 import cmath
 import math
+import multiprocessing
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -130,6 +133,118 @@ def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
     report = verify(fig2a, plan=Plan(residual_n=3, window=window, evolution=None),
                     convention="a")
     assert math.isnan(report.residual_max) and not report.passed
+
+
+SMALL_WINDOW = (-1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig7a"])
+def test_forked_sweep_has_the_serial_bits(request, monkeypatch, name):
+    """Spreading the rows over the usable CPUs changes no bit of residual_max."""
+    cfg = request.getfixturevalue(name)
+    fanned = residual_sweep(cfg, SMALL_WINDOW, n=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verification._sweep_workers(5) == 1
+    assert residual_sweep(cfg, SMALL_WINDOW, n=5) == fanned
+
+
+class _InProcessPool:
+    """Stands in for a process pool: records its size and maps in process."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def map(self, func, iterable, chunksize):
+        return [func(item) for item in iterable]
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("cpus, n", [(64, 3), (4, 5)])
+def test_sweep_starts_one_worker_per_cpu_and_row(fig2a, monkeypatch, cpus, n):
+    """min(n, CPUs) workers, however many CPUs the affinity set holds, and
+    none where fork is missing."""
+    def refuse(*args):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(verification, "_worker_row", None)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: type("Fork", (), {"Pool": _InProcessPool}))
+    fanned = residual_sweep(fig2a, SMALL_WINDOW, n=n)
+    assert _InProcessPool.sizes == [min(n, cpus)]
+    assert verification._sweep_workers(21) == min(21, cpus)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert residual_sweep(fig2a, SMALL_WINDOW, n=n) == fanned
+    assert _InProcessPool.sizes == [min(n, cpus)]  # the serial sweep starts no pool
+
+
+def test_worker_failure_reaches_the_caller(fig2a, monkeypatch):
+    """A row that fails in a worker is a StencilEvaluationFailure naming its
+    stencil point, and no worker outlives the sweep."""
+    real = verification._evaluator
+
+    def failing_last_row(cfg, convention, ctx=verification._mathctx.FLOAT):
+        evaluator, orbit = real(cfg, convention, ctx)
+
+        def patched(x, t):
+            if t > 0.5:  # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW
+                raise ZeroDivisionError(f"stand-in failure in process {os.getpid()}")
+            return evaluator(x, t)
+
+        return patched, orbit
+
+    monkeypatch.setattr(verification, "_evaluator", failing_last_row)
+    with pytest.raises(StencilEvaluationFailure,
+                       match=r"stencil around \(x=-1\.0, t=1\.0, h=0\.001\d*\): "
+                             r"stand-in failure in process \d+") as err:
+        residual_sweep(fig2a, SMALL_WINDOW, n=3)
+    if verification._sweep_workers(3) > 1:
+        assert str(os.getpid()) not in str(err.value)  # it failed in a worker
+    assert multiprocessing.active_children() == []
+
+
+def _sweep_in_daemon(cfg, results):
+    try:
+        results.put((verification._sweep_workers(3),
+                     residual_sweep(cfg, SMALL_WINDOW, n=3)))
+    except BaseException as exc:  # a daemon may not start children
+        results.put(repr(exc))
+
+
+def test_sweep_stays_serial_in_a_daemonic_process(fig2a):
+    """A daemonic process may not have children, so it sweeps in process."""
+    fork = multiprocessing.get_context("fork")
+    results = fork.Queue()
+    child = fork.Process(target=_sweep_in_daemon, args=(fig2a, results), daemon=True)
+    child.start()
+    outcome = results.get(timeout=120)
+    child.join(timeout=60)
+    assert not child.is_alive()
+    assert outcome == (1, residual_sweep(fig2a, SMALL_WINDOW, n=3))
+
+
+def test_sweep_stays_serial_while_other_threads_run():
+    """A fork could copy a lock another thread holds, so no worker is forked."""
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert verification._sweep_workers(3) == 1
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
 
 
 def _unfused_strang(q, setup, Q0):
