@@ -10,7 +10,6 @@ otherwise be limited by double roundoff.
 
 import cmath
 
-import mpmath
 import numpy
 
 
@@ -34,6 +33,9 @@ NUMPY = MathContext(lambda v: numpy.asarray(v, dtype=complex), numpy.exp, numpy.
 
 
 def mp_context(dps=40):
+    # imported here, so that commands without a residual sweep do not pay for it
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.dps = dps
     return MathContext(ctx.mpc, ctx.exp, ctx.log, ctx.arg,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -29,7 +30,16 @@ def _check_threads(threads):
 class _ErrorBoundary(click.Group):
     """The one error boundary of every command: a package error, an OS error
     (an unreadable config, an output path that cannot be written) or an
-    allocation failure prints ``error: ...`` and exits 1."""
+    allocation failure prints ``error: ...`` and exits 1.  A closed stdout
+    is none of these: the process that ``main()`` runs ends by SIGPIPE, with
+    nothing on stderr, as Unix filters do."""
+
+    def __call__(self, *args, **kwargs):
+        # the process entry (the console script and ``python -m``); a test
+        # runner calls ``main.main`` and keeps its own SIGPIPE handling
+        if hasattr(signal, "SIGPIPE"):
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        return super().__call__(*args, **kwargs)
 
     def invoke(self, ctx):
         try:
@@ -120,7 +130,7 @@ def evolve(config, sign_convention):
     else:
         payload["not_applicable"] = reason
     click.echo(json.dumps(payload, indent=2))
-    sys.exit(0 if reason or err < run.plan.gates["evolution"] else 1)
+    sys.exit(0 if reason or err < verification.DEFAULT_GATES["evolution"] else 1)
 
 
 @main.command()

@@ -1,5 +1,7 @@
-"""Exception types and the diagnostic record shared across the package."""
+"""Exception types, the diagnostic record and the number rule of the package."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -69,3 +71,32 @@ class Diagnostic:
         if self.hint is not None:
             d["hint"] = self.hint
         return d
+
+
+class NumberError(ValueError):
+    """A value broke the number rule; ``code`` is the ``Diagnostic`` code."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+def finite_number(value, where: str, kind=float):
+    """``value`` converted to ``kind`` (float or complex), if it is a finite
+    number.  A bool or another type raises ``NumberError`` coded
+    ``BadNumber`` (``BadComplex`` for complex); NaN, an infinity or an int
+    beyond double range raises it coded ``NonFiniteValue``."""
+    real = kind is float
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Real if real else numbers.Complex):
+        raise NumberError("BadNumber" if real else "BadComplex",
+                          f"{where} must be a {'real' if real else 'complex'} "
+                          f"number, got {value!r}")
+    try:
+        out = kind(value)
+    except OverflowError:  # an int beyond double range
+        out = kind(math.inf)
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise NumberError("NonFiniteValue",
+                          f"{where} must be finite in double precision, got {out}")
+    return out

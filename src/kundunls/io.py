@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigParseError, ConfigValidationError, Diagnostic
+from .errors import (ConfigParseError, ConfigValidationError, Diagnostic, NumberError,
+                     finite_number)
 from .fields import FieldGrid
 from .spectrum import EigenEntry, PoleOrder, SpectralConfig
 from .verification import EvolutionSetup, Plan
@@ -39,27 +40,20 @@ class RunConfig:
 
 
 def _as_complex(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
+    """A [re, im] pair as a complex, each element by the complex number rule."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigValidationError([Diagnostic(
             "BadComplex", f"{where} must be a [re, im] pair, got {value!r}")])
+    re, im = (_checked(v, f"{where}[{k}]", complex) for k, v in enumerate(value))
+    return complex(re.real, im.real)
+
+
+def _checked(value, where: str, kind=float):
+    """``finite_number``, its error raised as a named diagnostic."""
     try:
-        return complex(value[0], value[1])
-    except OverflowError:
-        raise ConfigValidationError([Diagnostic(
-            "NonFiniteValue", f"{where} overflows a double")]) from None
-
-
-def _as_real(value, where: str) -> float:
-    """A JSON number (not a bool or a numeric string) as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigValidationError([Diagnostic(
-        "BadNumber", f"{where} must be a number, got {value!r}")])
+        return finite_number(value, where, kind)
+    except NumberError as exc:
+        raise ConfigValidationError([Diagnostic(exc.code, str(exc))]) from None
 
 
 def _check_grid(grid) -> None:
@@ -68,14 +62,10 @@ def _check_grid(grid) -> None:
     if not isinstance(grid, dict):
         raise ConfigValidationError([Diagnostic("GridSpec", "grid must be an object")])
     for axis in "xt":
-        lo, hi = (_as_real(_require(grid, key, f"grid.{key}"), f"grid.{key}")
+        lo, hi = (_checked(_require(grid, key, f"grid.{key}"), f"grid.{key}")
                   for key in (f"{axis}_min", f"{axis}_max"))
         n = _require(grid, f"n{axis}", f"grid.n{axis}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigValidationError([Diagnostic(
-                "BadNumber", f"grid.{axis}_min and grid.{axis}_max must be finite, "
-                f"got {lo} and {hi}")])
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if type(n) is not int or _checked(n, f"grid.n{axis}") < 1:
             raise ConfigValidationError([Diagnostic(
                 "GridSpec", f"grid.n{axis} must be an integer >= 1, got {n!r}")])
         # linspace moves each point by a few ulps of the largest magnitude,
@@ -106,7 +96,7 @@ def _read_plan(plan) -> Plan:
         elif isinstance(evolution, dict):
             evolution = EvolutionSetup(**evolution)
         return Plan(**{**plan, "evolution": evolution})
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigValidationError([Diagnostic(
             "BadPlan", f"verification: {exc}")]) from None
 
@@ -155,6 +145,8 @@ def load_config(path) -> RunConfig:
         raise ConfigParseError("arrays or objects nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(exc), line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ConfigParseError(str(exc)) from None
 
     if not isinstance(raw, dict):
         raise ConfigValidationError([Diagnostic(
@@ -192,8 +184,8 @@ def load_config(path) -> RunConfig:
         _known_keys(entry, ("z", "A_plus", "B_plus"), where)
     cfg = SpectralConfig(
         q_minus=_as_complex(_require(raw, "q_minus", "q_minus"), "q_minus"),
-        epsilon=_as_real(_require(raw, "epsilon", "epsilon"), "epsilon"),
-        gamma0=_as_real(raw.get("gamma0", 0.0), "gamma0"),
+        epsilon=_require(raw, "epsilon", "epsilon"),
+        gamma0=raw.get("gamma0", 0.0),
         pole_order=order,
         eigenvalues=tuple(eigenvalues),
     )

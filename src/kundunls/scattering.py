@@ -16,8 +16,6 @@ _POLE_TOL = 1e-13
 #: Largest error an audit accepts: the theta condition, each symmetry
 #: relation and the trace product s11 s22 = 1.
 AUDIT_TOL = 1e-12
-#: The two relative offsets from z_n of ``zero_order_estimate``'s slope.
-_ORDER_STEPS = (1e-4, 1e-5)
 #: Seeded points at which ``audit`` compares s11 s22 with 1.
 AUDIT_SAMPLES = 100
 
@@ -56,18 +54,6 @@ def trace_s22(orbit: OrbitTable, z: complex) -> complex:
             raise EvaluationAtPole(f"z = {z} is a pole of s22")
         out *= (den / num) ** m
     return out
-
-
-def zero_order_estimate(orbit: OrbitTable, zn: complex) -> float:
-    """Order of the zero of s11 at zn from the two-scale log-log slope.
-
-    (log|s11(zn(1+h1))| - log|s11(zn(1+h2))|) / (log h1 - log h2) cancels the
-    constant prefactor that a single-scale ratio would leave behind.
-    """
-    h1, h2 = _ORDER_STEPS
-    f1 = abs(trace_s11(orbit, zn * (1 + h1)))
-    f2 = abs(trace_s11(orbit, zn * (1 + h2)))
-    return (math.log(f1) - math.log(f2)) / (math.log(h1) - math.log(h2))
 
 
 def check_theta_condition(orbit: OrbitTable) -> Diagnostic:

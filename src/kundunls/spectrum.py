@@ -11,12 +11,11 @@ the one under which the constructed fields satisfy the evolution equation
 
 import enum
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 from . import _mathctx
-from .errors import ConfigValidationError, ContourEigenvalue, Diagnostic
+from .errors import (ConfigValidationError, ContourEigenvalue, Diagnostic,
+                     NumberError, finite_number)
 
 log = logging.getLogger(__name__)
 
@@ -67,11 +66,6 @@ class SpectralConfig:
     @property
     def N(self) -> int:
         return len(self.eigenvalues)
-
-    @property
-    def u0(self) -> float:
-        """Background amplitude of the gauge-side field u."""
-        return self.Q0 / abs(self.epsilon)
 
 
 def canonicalize_eigenvalue(z: complex, Q0: float) -> complex:
@@ -196,42 +190,38 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
     )
 
 
-#: The codes ``io`` gives a JSON value that is not a number or a [re, im]
-#: pair -> the type a value must have in Python, and its name; a bool has
-#: neither type.
-_NUMBER_RULES = {"BadNumber": (numbers.Real, "a real number"),
-                 "BadComplex": (numbers.Complex, "a complex number")}
-
-
 def _problems(cfg: SpectralConfig):
-    """One diagnostic per violated input rule, empty for admissible data."""
+    """One diagnostic per violated input rule, empty for admissible data.
+    Each number is stored as the float or complex ``finite_number`` returns."""
     if not isinstance(cfg.pole_order, PoleOrder):
         return [Diagnostic("PoleOrder", "pole_order must be a PoleOrder, "
                            f"got {cfg.pole_order!r}")]
     if not isinstance(cfg.eigenvalues, (tuple, list)):
         return [Diagnostic("BadEigenvalues", "eigenvalues must be a tuple of "
                            f"EigenEntry, got {cfg.eigenvalues!r}")]
-    values = [("epsilon", cfg.epsilon, "BadNumber"), ("gamma0", cfg.gamma0, "BadNumber"),
-              ("q_minus", cfg.q_minus, "BadComplex")]
     out = []
+
+    def number(value, where, kind):
+        try:
+            return finite_number(value, where, kind)
+        except NumberError as exc:
+            out.append(Diagnostic(exc.code, str(exc)))
+
+    entries = []
     for idx, e in enumerate(cfg.eigenvalues):
         if isinstance(e, EigenEntry):
-            values += [(f"eigenvalues[{idx}].{name}", getattr(e, name), "BadComplex")
-                       for name in ("z", "A_plus", "B_plus")]
+            entries.append(EigenEntry(*(number(getattr(e, name),
+                                               f"eigenvalues[{idx}].{name}", complex)
+                                        for name in ("z", "A_plus", "B_plus"))))
         else:
             out.append(Diagnostic("BadEigenvalues", f"eigenvalues[{idx}] must be an "
                                   f"EigenEntry, got {e!r}"))
-    for name, v, code in values:
-        kind, what = _NUMBER_RULES[code]
-        if not isinstance(v, kind) or isinstance(v, bool):
-            out.append(Diagnostic(code, f"{name} must be {what}, got {v!r}"))
+    values = {name: number(getattr(cfg, name), name, kind) for name, kind in
+              (("epsilon", float), ("gamma0", float), ("q_minus", complex))}
     if out:
-        return out  # the checks below assume numbers
-    nonfinite = [Diagnostic("NonFiniteValue", f"{name} must be finite, got {v}")
-                 for name, v, _ in values
-                 if not (math.isfinite(v.real) and math.isfinite(v.imag))]
-    if nonfinite:
-        return nonfinite  # the checks below assume finite numbers
+        return out  # the checks below assume finite numbers
+    for name, v in [*values.items(), ("eigenvalues", tuple(entries))]:
+        object.__setattr__(cfg, name, v)
     if cfg.epsilon == 0:
         out.append(Diagnostic("EpsilonZero", "epsilon must be nonzero"))
     if cfg.q_minus == 0:

@@ -10,12 +10,13 @@ three at once would have to be a genuine solution.
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _mathctx, scattering
-from .errors import PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure
+from .errors import (PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure,
+                     finite_number)
 from .fields import POLE_MODULES
 from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit, resolve_convention
 from .uniformization import lambda_of_z
@@ -30,23 +31,8 @@ BOUNDARY_T = 0.0
 #: Pass thresholds for the report's overall verdict.  Boundary is looser than
 #: the best configurations achieve because tail decay rates vary by spectrum.
 DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
-
-
-def _number(value, where: str, positive=False) -> None:
-    """Require a finite real number (not a bool), strictly positive when asked."""
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value) and (value > 0 or not positive))
-    except OverflowError:  # an int beyond double range
-        ok = False
-    if not ok:
-        raise ValueError(f"{where} must be a finite{' positive' if positive else ''} "
-                         f"number, got {value!r}")
-
-
-def _integer(value, where: str, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise ValueError(f"{where} must be an integer >= {least}, got {value!r}")
+#: The stencil step of ``check``'s residual sweep.
+RESIDUAL_H = 1e-3
 
 
 @dataclass(frozen=True)
@@ -62,9 +48,13 @@ class EvolutionSetup:
     t1: float = 2.0
 
     def __post_init__(self):
-        _integer(self.M, "evolution.M", 2)
+        if type(self.M) is not int or finite_number(self.M, "evolution.M") < 2:
+            raise ValueError(f"evolution.M must be an integer >= 2, got {self.M!r}")
         for name in ("L", "dt", "t0", "t1"):
-            _number(getattr(self, name), f"evolution.{name}", positive=name in ("L", "dt"))
+            value = finite_number(getattr(self, name), f"evolution.{name}")
+            if name in ("L", "dt") and not value > 0:
+                raise ValueError(f"evolution.{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         if self.M & (self.M - 1):
             raise ValueError(f"M = {self.M} is not a power of two")
         if not self.t1 > self.t0:
@@ -80,44 +70,37 @@ class Plan:
     """How ``check`` verifies a config and how ``evolve`` steps it: the
     config's ``verification`` object, each missing key at its default.
 
-    ``gates`` names some of ``DEFAULT_GATES`` and holds all of them once
-    built; ``evolution`` None disables the split-step check in ``check``.
-    Each field is checked on construction, so a bad value raises
-    ``ValueError`` or ``TypeError``.
+    ``evolution`` None disables the split-step check in ``check``.  Each
+    field is checked on construction, so a bad value raises ``ValueError`` or
+    ``TypeError``.
     """
 
     window: tuple = (-5.0, 5.0, -3.0, 3.0)
     residual_n: int = 21
-    h: float = 1e-3
-    gates: dict = field(default_factory=dict)
     evolution: EvolutionSetup | None = EvolutionSetup()
 
     def __post_init__(self):
         if not isinstance(self.window, (list, tuple)) or len(self.window) != 4:
             raise ValueError("window must be [x_min, x_max, t_min, t_max], "
                              f"got {self.window!r}")
-        for v in self.window:
-            _number(v, "window")
-        x_min, x_max, t_min, t_max = self.window
+        x_min, x_max, t_min, t_max = window = tuple(
+            finite_number(v, "window") for v in self.window)
         if not (x_min < x_max and t_min < t_max):
             raise ValueError("window needs x_min < x_max and t_min < t_max, "
-                             f"got {list(self.window)}")
-        _integer(self.residual_n, "residual_n", 2)
-        _number(self.h, "h", positive=True)
-        if not isinstance(self.gates, dict) or set(self.gates) - set(DEFAULT_GATES):
-            raise ValueError(f"gates must map some of {sorted(DEFAULT_GATES)} "
-                             f"to numbers, got {self.gates!r}")
-        for key, v in self.gates.items():
-            _number(v, f"gates.{key}")
+                             f"got {list(window)}")
+        n = self.residual_n
+        if type(n) is not int or finite_number(n, "residual_n") < 2:
+            raise ValueError(f"residual_n must be an integer >= 2, got {n!r}")
         if not (self.evolution is None or isinstance(self.evolution, EvolutionSetup)):
             raise TypeError("evolution must be true, false or an object of "
                             f"EvolutionSetup fields, got {self.evolution!r}")
-        object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "gates", {**DEFAULT_GATES, **self.gates})
+        object.__setattr__(self, "window", window)
 
 
 @dataclass
 class VerificationReport:
+    """The outcome of each check; ``passed`` judges it by ``DEFAULT_GATES``."""
+
     residual_max: float
     residual_grid_spec: str
     boundary_errors: list
@@ -126,21 +109,20 @@ class VerificationReport:
     evolution_linf_error: float | None
     evolution_reason: str | None
     warnings: list
-    gates: dict
 
     @property
     def passed(self) -> bool:
         checks = [
-            self.residual_max < self.gates["residual"],
-            all(e < self.gates["boundary"] for e in self.boundary_errors),
+            self.residual_max < DEFAULT_GATES["residual"],
+            all(e < DEFAULT_GATES["boundary"] for e in self.boundary_errors),
             self.theta_ok,
         ]
         if self.evolution_linf_error is not None:
-            checks.append(self.evolution_linf_error < self.gates["evolution"])
+            checks.append(self.evolution_linf_error < DEFAULT_GATES["evolution"])
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**asdict(self), "gates": dict(DEFAULT_GATES), "passed": self.passed}
 
 
 def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
@@ -175,7 +157,7 @@ def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
     return evaluator, orbit
 
 
-def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = 1e-3,
+def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = RESIDUAL_H,
                    convention: str = "auto") -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
     evaluated with ``RESIDUAL_DPS`` digits.
@@ -358,22 +340,6 @@ def boundary_errors(cfg: SpectralConfig, convention: str, L: float):
             abs(evaluator(L, BOUNDARY_T) - orbit.q_plus))
 
 
-def refine_peak(ts, vals, i: int) -> float:
-    """Quadratic refinement of a local maximum at sample index i."""
-    a, b, c = vals[i - 1], vals[i], vals[i + 1]
-    denom = a - 2 * b + c
-    if denom == 0:
-        return ts[i]
-    return ts[i] + 0.5 * (a - c) / denom * (ts[i + 1] - ts[i])
-
-
-def peak_locations(ts, vals):
-    """All strictly-local maxima, quadratically refined."""
-    return [refine_peak(ts, vals, i)
-            for i in range(1, len(vals) - 1)
-            if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
-
-
 def boundary_window(orbit) -> float:
     """Default boundary L: 20 e-folds of the slowest tail, within [30, 250].
 
@@ -400,10 +366,10 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
             )
     convention = resolve_convention(convention)
 
-    window, n, h = plan.window, plan.residual_n, plan.h
-    residual_max = residual_sweep(cfg, window, n=n, h=h, convention=convention)
+    window, n = plan.window, plan.residual_n
+    residual_max = residual_sweep(cfg, window, n=n, convention=convention)
     grid_spec = (f"{n}x{n} grid on x in [{window[0]}, {window[1]}], "
-                 f"t in [{window[2]}, {window[3]}], h={h}")
+                 f"t in [{window[2]}, {window[3]}], h={RESIDUAL_H}")
 
     orbit = derive_orbit(cfg, convention)
     b_errs = boundary_errors(cfg, convention, L=boundary_window(orbit))
@@ -422,5 +388,4 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
         evolution_linf_error=evo_err,
         evolution_reason=evo_reason,
         warnings=warnings_list,
-        gates=dict(plan.gates),
     )

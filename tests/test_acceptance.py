@@ -12,16 +12,15 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
+from probes import background_u, peak_locations, zero_order_estimate
 from kundunls import io
 from kundunls.cli import main as cli_main
-from kundunls.scattering import (check_symmetries, trace_s11, trace_s22,
-                                 zero_order_estimate)
+from kundunls.scattering import check_symmetries, trace_s11, trace_s22
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
                                derive_orbit)
 from kundunls import double_pole, simple_pole
 from kundunls.verification import (EvolutionSetup, boundary_errors,
-                                   evolution_cross_check, peak_locations,
-                                   residual_sweep, _evaluator)
+                                   evolution_cross_check, residual_sweep, _evaluator)
 
 WINDOW = (-5.0, 5.0, -3.0, 3.0)
 
@@ -169,7 +168,7 @@ def test_criterion_09_figure_phenomenology(fig2a):
     for name in ("fig2a", "fig2b", "fig2d"):
         run = io.load_config(name)
         ev, _ = _evaluator(run.cfg, "a")
-        u0 = run.cfg.u0
+        u0 = background_u(run.cfg)
         top = max(abs(ev(x * 0.25, t * 0.2)) / run.cfg.epsilon - u0
                   for x in range(-40, 41) for t in range(-10, 11))
         tops.append(top)

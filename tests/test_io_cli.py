@@ -2,18 +2,23 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kundunls
 from kundunls import fields, io, scattering, simple_pole, verification
 from kundunls.cli import main
 from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSError,
                              SingularMatrix)
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
-from kundunls.spectrum import PoleOrder, derive_orbit
+from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import Plan
 
 
@@ -146,6 +151,55 @@ def test_cli_construct_writes_artifacts(tmp_path):
     assert header.startswith(b"P5\n121 61\n255\n")
 
 
+def test_cli_emit_gnuplot_adds_a_script_and_changes_no_other_byte(tmp_path):
+    config = str(_small_fig2a(tmp_path))
+    outputs = []
+    for name, flag in (("plain", []), ("gp", ["--emit-gnuplot"])):
+        result = CliRunner().invoke(main, ["construct", config, "--out",
+                                           str(tmp_path / name)] + flag)
+        assert result.exit_code == 0, result.output
+        outputs.append([(tmp_path / name / f"fig2a.{ext}").read_bytes()
+                        for ext in ("csv", "json", "pgm")])
+    assert outputs[1] == outputs[0]
+    assert not (tmp_path / "plain" / "fig2a.gp").exists()
+    script = (tmp_path / "gp" / "fig2a.gp").read_text()
+    assert "splot 'fig2a.csv'" in script and "set title 'fig2a'" in script
+
+
+def _python(*args, **kwargs):
+    """A Python process with this package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kundunls.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def test_closed_stdout_ends_the_process_quietly():
+    """A reader that has gone ends the command by SIGPIPE, as it ends Unix
+    filters: no error line, no "Exception ignored" and no exit status 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write to stdout hits a closed pipe
+    try:
+        result = _python("-m", "kundunls.cli", "presets", stdout=write_end,
+                         stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert result.returncode == -signal.SIGPIPE
+    assert result.stderr == b""
+
+
+def test_cli_runner_keeps_the_sigpipe_handler():
+    before = signal.getsignal(signal.SIGPIPE)
+    assert CliRunner().invoke(main, ["presets"]).exit_code == 0
+    assert signal.getsignal(signal.SIGPIPE) == before
+
+
+def test_cli_import_leaves_mpmath_out():
+    """Only the residual sweep needs mpmath, so the commands that run none
+    do not import it."""
+    probe = _python("-c", "import sys, kundunls.cli; print('mpmath' in sys.modules)",
+                    capture_output=True, text=True, check=True)
+    assert probe.stdout == "False\n"
+
+
 def test_cli_construct_reports_flags_by_kind(tmp_path):
     result = CliRunner().invoke(main, ["construct", "fig7d", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
@@ -213,7 +267,8 @@ def _edited(raw, path, value):
     (("grid", "nx"), "5", "GridSpec"),
     (("grid", "nx"), True, "GridSpec"),
     (("grid", "nt"), 0, "GridSpec"),
-    (("grid", "x_max"), NAN, "BadNumber"),
+    (("grid", "x_max"), NAN, "NonFiniteValue"),
+    (("grid", "nx"), 10 ** 400, "NonFiniteValue"),
     (("grid", "t_min"), "-5", "BadNumber"),
     (("name",), "../fig2a", "BadName"),
     (("q_minus",), [1e200, 0.0], "Unrepresentable"),
@@ -232,6 +287,9 @@ def _edited(raw, path, value):
     (("grid", "ny"), 5, "UnknownKey"),
     (("eigenvalues", 0, "b_plus"), [1.0, 0.0], "UnknownKey"),
     (("verification",), {"boundary_L": 40}, "BadPlan"),
+    (("verification",), {"gates": {"evolution": 1.0}}, "BadPlan"),
+    (("verification",), {"h": 1e-3}, "BadPlan"),
+    (("verification",), {"residual_n": 10 ** 400}, "BadPlan"),
     (("verification",), {"evolution": None}, "BadPlan"),
     (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
      "ContourEigenvalue"),
@@ -241,15 +299,15 @@ def _edited(raw, path, value):
         "inf-A_plus", "nan-B_plus", "no-q_minus", "no-epsilon", "no-z",
         "no-A_plus", "eigenvalues-object", "string-epsilon",
         "numeric-string-epsilon", "grid-list", "reversed-x", "string-nx",
-        "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "string-t_min",
+        "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "huge-nx", "string-t_min",
         "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
         "plan-scalar-window", "plan-empty-window", "plan-reversed-window",
         "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
-        "plan-boundary_L", "plan-null-evolution", "near-circle-z",
-        "bool-q_minus", "bool-z"])
+        "plan-boundary_L", "plan-gates", "plan-h", "plan-huge-residual_n",
+        "plan-null-evolution", "near-circle-z", "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
@@ -263,6 +321,39 @@ def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, cod
         assert f"{code}:" in result.output
 
 
+@pytest.mark.parametrize("source, path", [
+    ("file", ("epsilon",)), ("file", ("gamma0",)), ("file", ("grid", "x_max")),
+    ("python", ("epsilon",)), ("python", ("gamma0",)), ("python", ("q_minus",)),
+], ids=["file-epsilon", "file-gamma0", "file-x_max", "python-epsilon",
+        "python-gamma0", "python-q_minus"])
+def test_int_beyond_double_range_is_a_nonfinite_value(tmp_path, source, path):
+    """10**400 is a JSON number but no double: every site names it as it
+    names a NaN, not as a BadNumber and not by an OverflowError."""
+    with pytest.raises(ConfigValidationError) as err:
+        if source == "file":
+            raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(_edited(raw, path, 10 ** 400)))
+            io.load_config(bad)
+        else:
+            SpectralConfig(**{"q_minus": 1 + 0j, "epsilon": 0.5, "gamma0": 0.0,
+                              "pole_order": PoleOrder.SIMPLE, path[0]: 10 ** 400})
+    assert [d.code for d in err.value.diagnostics] == ["NonFiniteValue"]
+
+
+def test_numbers_are_stored_as_float_and_complex(tmp_path, fig2a):
+    """Integers in a config or in Python hash as the floats they stand for."""
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw.update(gamma0=0, q_minus=[1, 0])
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(raw))
+    built = SpectralConfig(1, 0.5, 0, PoleOrder.SIMPLE, [EigenEntry(1.5j, 1)])
+    for cfg in (io.load_config(path).cfg, built):
+        assert type(cfg.gamma0) is float and type(cfg.q_minus) is complex
+        assert type(cfg.eigenvalues[0].A_plus) is complex
+        assert config_digest(cfg) == config_digest(fig2a)
+
+
 def _exits_with_error(args):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 1, args
@@ -273,13 +364,16 @@ def _exits_with_error(args):
 
 @pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
 def test_cli_unreadable_config_exits_1(tmp_path, command):
-    """A directory, a file that is not UTF-8 text or JSON nested deeper than
-    the parser recurses is an error, not a traceback."""
+    """A directory, a file that is not UTF-8 text, JSON nested deeper than
+    the parser recurses or an integer too long to convert is an error, not a
+    traceback."""
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    for config in (tmp_path, latin1, deep):
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"epsilon": ' + "1" * 5000 + "}")
+    for config in (tmp_path, latin1, deep, long_int):
         _exits_with_error([command, str(config)])
 
 
@@ -302,19 +396,17 @@ def _small_fig2a(tmp_path, **top):
     return path
 
 
-@pytest.mark.parametrize("gate, code", [(1.0, 0), (1e-12, 1)])
-def test_check_and_evolve_share_the_evolution_gate(tmp_path, gate, code):
+def test_check_and_evolve_share_the_evolution_gate(tmp_path):
     """400 steps of dt 0.01 on fig2a leave an error of about 0.05: both commands
-    judge it by the plan's gate, not by the default 1e-5."""
+    fail it by the one evolution gate, 1e-5."""
     cfg = _small_fig2a(tmp_path, verification={
-        "gates": {"evolution": gate}, "evolution": {"dt": 0.01},
-        "residual_n": 2})
+        "evolution": {"dt": 0.01}, "residual_n": 2})
     check = CliRunner().invoke(main, ["check", str(cfg)])
     evolve = CliRunner().invoke(main, ["evolve", str(cfg)])
     err = json.loads(evolve.output)["linf_error"]
     assert json.loads(check.output)["evolution_linf_error"] == err
-    assert 1e-5 < err < 1.0
-    assert (check.exit_code, evolve.exit_code) == (code, code)
+    assert json.loads(check.output)["gates"]["evolution"] == 1e-5 < err < 1.0
+    assert (check.exit_code, evolve.exit_code) == (1, 1)
 
 
 def _singular_row(orbit, xs, t):
@@ -406,7 +498,7 @@ def _key_paths(obj, prefix=()):
 SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
 SMALL_FIG2A["grid"].update(nx=5, nt=3)
 SMALL_FIG2A.update(uncertain=False, verification={
-    "window": [-1, 1, -1, 1], "gates": {"evolution": 1e-5},
+    "window": [-1, 1, -1, 1], "residual_n": 3,
     "evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from probes import zero_order_estimate
 from kundunls.errors import EvaluationAtPole
 from kundunls.scattering import (audit, check_symmetries, check_theta_condition,
-                                 trace_s11, trace_s22, zero_order_estimate)
+                                 trace_s11, trace_s22)
 from kundunls.spectrum import PoleOrder, derive_orbit
 
 

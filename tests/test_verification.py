@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
+from probes import peak_locations
 from kundunls import _mathctx, io, verification
 from kundunls.errors import PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import (EvolutionSetup, Plan, boundary_errors, boundary_window,
                                    evolution_cross_check, exact_slice, pde_residual,
-                                   peak_locations, probe_convention, residual_sweep,
+                                   probe_convention, residual_sweep,
                                    split_step_evolve, verify, _evaluator)
 
 
@@ -337,19 +338,20 @@ def test_split_step_rejects_bad_grid():
     (lambda: Plan(residual_n=1, evolution=None), ValueError),
     (lambda: Plan(window=(0, 1)), ValueError),
     (lambda: Plan(window=(0, 0, 0, 0)), ValueError),
-    (lambda: Plan(gates={"bogus": 1}), ValueError),
+    (lambda: Plan(residual_n=10 ** 400), ValueError),
+    (lambda: Plan(window=(0, 10 ** 400, 0, 1)), ValueError),
+    (lambda: Plan(gates={"evolution": 1.0}), TypeError),
+    (lambda: Plan(h=1e-3), TypeError),
     (lambda: EvolutionSetup(t1=-2.0), ValueError),
     (lambda: EvolutionSetup(M=100), ValueError),
-], ids=["residual_n-1", "short-window", "empty-window", "unknown-gate", "empty-span", "M-100"])
+    (lambda: EvolutionSetup(M=2 ** 1100), ValueError),
+    (lambda: EvolutionSetup(dt=float("nan")), ValueError),
+], ids=["residual_n-1", "short-window", "empty-window", "huge-residual_n", "huge-window",
+        "no-gates", "no-h", "empty-span", "M-100", "huge-M", "nan-dt"])
 def test_plan_and_setup_check_their_fields(build, error):
     """A plan built in Python is held to the rules a config's plan is."""
     with pytest.raises(error):
         build()
-
-
-def test_plan_gates_hold_every_default_gate():
-    assert Plan(gates={"evolution": 1.0}).gates == {
-        "residual": 1e-6, "boundary": 1e-6, "evolution": 1.0}
 
 
 def test_mass_conservation(fig2a):
@@ -407,13 +409,15 @@ def test_verify_background_config(background_only):
 
 
 def test_report_gates_are_its_own_copy(background_only):
-    """Editing a report's gates changes neither its plan nor the next verdict."""
+    """Editing the gates of a serialized report changes neither the package's
+    gates nor the next verdict."""
     plan = Plan(residual_n=3, evolution=None)
     report = verify(background_only, plan=plan)
-    report.gates["residual"] = -1.0
-    assert not report.passed
-    assert plan.gates == Plan().gates
-    assert verify(background_only, plan=plan).passed
+    d = report.to_dict()
+    assert d["gates"] == {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
+    d["gates"]["residual"] = -1.0
+    assert verification.DEFAULT_GATES["residual"] == 1e-6
+    assert report.passed and verify(background_only, plan=plan).passed
 
 
 def test_verify_fig4a_marks_evolution_not_applicable(fig4a):
