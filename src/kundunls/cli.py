@@ -49,9 +49,6 @@ class _ErrorBoundary(click.Group):
             sys.exit(1)
 
 
-sign_option = click.option(
-    "--sign-convention", type=click.Choice(["a", "b", "auto"]), default="auto",
-    show_default=True, help="Overall sign convention of the reconstruction.")
 threads_option = click.option(
     "--threads", type=int, default=None,
     help="Accepted for compatibility (default: NZBC_THREADS or 1); evaluation "
@@ -72,13 +69,12 @@ def main():
               show_default=True, help="Output directory.")
 @click.option("--emit-gnuplot", is_flag=True,
               help="Also write a gnuplot script for the CSV.")
-@sign_option
 @threads_option
-def construct(config, out, emit_gnuplot, sign_convention, threads):
+def construct(config, out, emit_gnuplot, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
     run = io.load_config(config)
     _check_threads(threads)
-    orbit = derive_orbit(run.cfg, sign_convention)
+    orbit = derive_orbit(run.cfg)
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
@@ -100,11 +96,11 @@ def construct(config, out, emit_gnuplot, sign_convention, threads):
 
 @main.command()
 @click.argument("config")
-@sign_option
-def check(config, sign_convention):
-    """Run the verification battery and print the report as JSON."""
+def check(config):
+    """Run the verification battery and print the report as JSON; the sign
+    convention is the one the residual probe picks."""
     run = io.load_config(config)
-    report = verification.verify(run.cfg, plan=run.plan, convention=sign_convention)
+    report = verification.verify(run.cfg, plan=run.plan)
     payload = report.to_dict()
     payload["config"] = run.name
     if run.uncertain and not report.passed:
@@ -118,12 +114,11 @@ def check(config, sign_convention):
 
 @main.command()
 @click.argument("config")
-@sign_option
-def evolve(config, sign_convention):
+def evolve(config):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
     run = io.load_config(config)
     setup = run.plan.evolution or EvolutionSetup()
-    err, reason = verification.evolution_step(run.cfg, setup, sign_convention)
+    err, reason = verification.evolution_step(run.cfg, setup)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:
         payload["linf_error"] = err
@@ -135,12 +130,11 @@ def evolve(config, sign_convention):
 
 @main.command()
 @click.argument("config")
-@sign_option
 @seed_option
-def audit(config, sign_convention, seed):
+def audit(config, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
     run = io.load_config(config)
-    diags = scattering.audit(derive_orbit(run.cfg, sign_convention), seed)
+    diags = scattering.audit(derive_orbit(run.cfg), seed)
     payload = {"config": run.name, "seed": seed,
                "diagnostics": [d.to_dict() for d in diags],
                "passed": all(d.ok for d in diags)}

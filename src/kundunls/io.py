@@ -8,6 +8,7 @@ NetPBM, so golden-file tests can compare raw bytes.
 import json
 import math
 import sys
+import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -124,9 +125,11 @@ def preset_names():
 
 
 def resolve_config_path(spec: str):
-    """A filesystem path, or a bundled preset name like 'fig2a'."""
+    """A filesystem path other than a directory, or a bundled preset name
+    like 'fig2a'; a directory of that name (say, an earlier --out) does not
+    hide the preset."""
     p = Path(spec)
-    if p.exists():
+    if p.exists() and not p.is_dir():
         return p
     candidate = preset_dir().joinpath(spec if spec.endswith(".json")
                                       else spec + ".json")
@@ -193,11 +196,13 @@ def load_config(path) -> RunConfig:
     grid = raw.get("grid", {})
     _check_grid(grid)
     name = raw.get("name", path.stem)
-    # the name becomes the stem of the output files
-    if (not isinstance(name, str) or not name.strip(".") or "\0" in name
-            or Path(name).name != name):
+    # the name becomes the stem of the output files and a gnuplot title, in
+    # which a control character such as a newline would start a new command
+    if (not isinstance(name, str) or not name.strip(".") or Path(name).name != name
+            or any(unicodedata.category(c) == "Cc" for c in name)):
         raise ConfigValidationError([Diagnostic(
-            "BadName", f"name must be a plain file name, got {name!r}")])
+            "BadName", "name must be a plain file name without control "
+            f"characters, got {name!r}")])
     uncertain = raw.get("uncertain", False)
     if not isinstance(uncertain, bool):
         raise ConfigValidationError([Diagnostic(
@@ -260,11 +265,16 @@ set view map
 set xlabel 'x'
 set ylabel 't'
 set title '{title}'
-splot '{csv}' using 1:2:5 every ::1 with points pt 5 ps 0.4 palette notitle
+splot '{quoted_csv}' using 1:2:5 every ::1 with points pt 5 ps 0.4 palette notitle
 pause -1
 """
 
 
 def emit_gnuplot(csv_path, path, title: str = "|u|"):
-    Path(path).write_text(
-        GNUPLOT_TEMPLATE.format(csv=csv_path, title=title), encoding="utf-8")
+    """Write the heatmap script; a ' inside gnuplot's single quotes is ''."""
+    def quoted(text):
+        return str(text).replace("'", "''")
+
+    Path(path).write_text(GNUPLOT_TEMPLATE.format(
+        csv=csv_path, quoted_csv=quoted(csv_path), title=quoted(title)),
+        encoding="utf-8")

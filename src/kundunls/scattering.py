@@ -78,11 +78,12 @@ def _rel_err(lhs, rhs) -> float:
 
 
 def check_symmetries(orbit: OrbitTable):
-    """Re-derive every chained norming-constant equality and compare.
+    """Re-derive the mirror points and every minus-side norming constant and
+    compare.
 
-    Each relation is evaluated from the canonical eigenvalues and A_plus
-    alone, so a corrupted entry anywhere else in the table shows up as an
-    O(1) relative error in exactly the relation it violates.
+    Each relation is evaluated from the canonical eigenvalues and the
+    config's A_plus (and B_plus) alone, so a corrupted entry in the table
+    shows up as an O(1) relative error in exactly the relation it violates.
     """
     order = orbit.cfg.pole_order
     qm = orbit.cfg.q_minus
@@ -100,34 +101,28 @@ def check_symmetries(orbit: OrbitTable):
     )
     add("MirrorPoints", err)
 
-    e1 = e2 = e3 = 0.0
+    e1 = e2 = 0.0
     for n in range(n_eigs):
         z = orbit.canonical_z[n]
-        a = orbit.A_plus_xi[n]
+        a = orbit.cfg.eigenvalues[n].A_plus
         if order is PoleOrder.SIMPLE:
             ratio = qm * qm / (z * z)
         else:
             ratio = q0sq * q0sq * qm / (z ** 4 * qm.conjugate())
         e1 = max(e1, _rel_err(orbit.A_minus_xihat[n], orbit.sign * ratio * a))
         e2 = max(e2, _rel_err(orbit.A_minus_xihat[n_eigs + n], -a.conjugate()))
-        e3 = max(e3, _rel_err(orbit.A_plus_xi[n_eigs + n],
-                              -orbit.sign * (ratio * a).conjugate()))
     add("NormingChainFirst", e1)
     add("NormingChainConjugate", e2)
-    add("NormingChainExtended", e3)
 
     if order is PoleOrder.DOUBLE:
-        b1 = b2 = b3 = 0.0
+        b1 = b2 = 0.0
         for n in range(n_eigs):
             z = orbit.canonical_z[n]
-            b = orbit.B_plus_xi[n]
-            bshift = (z * z / q0sq) * (b - 2 / z)
-            b1 = max(b1, _rel_err(orbit.B_minus_xihat[n], bshift))
+            b = orbit.cfg.eigenvalues[n].B_plus
+            b1 = max(b1, _rel_err(orbit.B_minus_xihat[n], (z * z / q0sq) * (b - 2 / z)))
             b2 = max(b2, _rel_err(orbit.B_minus_xihat[n_eigs + n], b.conjugate()))
-            b3 = max(b3, _rel_err(orbit.B_plus_xi[n_eigs + n], bshift.conjugate()))
         add("DerivativeChainShift", b1)
         add("DerivativeChainConjugate", b2)
-        add("DerivativeChainExtended", b3)
 
     return out
 

@@ -81,15 +81,15 @@ def canonicalize_eigenvalue(z: complex, Q0: float) -> complex:
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """Extended eigenvalues, mirrors and all norming constants, plus q_plus."""
+    """Extended eigenvalues, their mirrors, the minus-side norming constants
+    A_minus(xi_hat_j) (and B_minus(xi_hat_j) for double poles) that the solvers
+    read, plus q_plus."""
 
     cfg: SpectralConfig
     sign_convention: str
     xi: tuple
     xi_hat: tuple
-    A_plus_xi: tuple
     A_minus_xihat: tuple
-    B_plus_xi: tuple = ()
     B_minus_xihat: tuple = ()
     q_plus: complex = 0j
     #: per-context constants of the pole modules, filled on first use by
@@ -128,7 +128,7 @@ def resolve_convention(convention: str) -> str:
 
 
 def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> OrbitTable:
-    """Build the full 2N orbit with all derived constants."""
+    """Build the full 2N orbit with its minus-side norming constants."""
     convention = resolve_convention(convention)
     sign = SIGN_CONVENTIONS[convention]
     cz = []
@@ -148,25 +148,20 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
     xi_hat = [-q0sq / x for x in xi]
 
     double = cfg.pole_order is PoleOrder.DOUBLE
-    a_plus, a_minus = [None] * (2 * n_eigs), [None] * (2 * n_eigs)
-    b_plus, b_minus = ([None] * (2 * n_eigs), [None] * (2 * n_eigs)) if double else ([], [])
+    a_minus = [None] * (2 * n_eigs)
+    b_minus = [None] * (2 * n_eigs) if double else []
     for n, (z, e) in enumerate(zip(zs, cfg.eigenvalues)):
         a = conv(e.A_plus)
         if double:
             ratio = (q0sq * q0sq) * qm / (z ** 4 * qm.conjugate())
         else:
             ratio = qm * qm / (z * z)
-        a_plus[n] = a
         a_minus[n] = sign * ratio * a
         a_minus[n_eigs + n] = -a.conjugate()
-        a_plus[n_eigs + n] = -sign * (ratio * a).conjugate()
         if double:
             b = conv(e.B_plus)
-            bshift = (z * z / q0sq) * (b - 2 / z)
-            b_plus[n] = b
-            b_minus[n] = bshift
+            b_minus[n] = (z * z / q0sq) * (b - 2 / z)
             b_minus[n_eigs + n] = b.conjugate()
-            b_plus[n_eigs + n] = bshift.conjugate()
 
     # arg(q_plus/q_minus) is minus 4 (simple poles) or minus 8 (double poles)
     # times the sum of the eigenvalue arguments, and the modulus carries over.
@@ -182,9 +177,7 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
         sign_convention=convention,
         xi=tuple(xi),
         xi_hat=tuple(xi_hat),
-        A_plus_xi=tuple(a_plus),
         A_minus_xihat=tuple(a_minus),
-        B_plus_xi=tuple(b_plus),
         B_minus_xihat=tuple(b_minus),
         q_plus=q_plus,
     )

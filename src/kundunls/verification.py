@@ -31,7 +31,9 @@ BOUNDARY_T = 0.0
 #: Pass thresholds for the report's overall verdict.  Boundary is looser than
 #: the best configurations achieve because tail decay rates vary by spectrum.
 DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
-#: The stencil step of ``check``'s residual sweep.
+#: The box (x_min, x_max, t_min, t_max) and stencil step of ``check``'s
+#: residual sweep.
+RESIDUAL_WINDOW = (-5.0, 5.0, -3.0, 3.0)
 RESIDUAL_H = 1e-3
 
 
@@ -75,26 +77,16 @@ class Plan:
     ``TypeError``.
     """
 
-    window: tuple = (-5.0, 5.0, -3.0, 3.0)
     residual_n: int = 21
     evolution: EvolutionSetup | None = EvolutionSetup()
 
     def __post_init__(self):
-        if not isinstance(self.window, (list, tuple)) or len(self.window) != 4:
-            raise ValueError("window must be [x_min, x_max, t_min, t_max], "
-                             f"got {self.window!r}")
-        x_min, x_max, t_min, t_max = window = tuple(
-            finite_number(v, "window") for v in self.window)
-        if not (x_min < x_max and t_min < t_max):
-            raise ValueError("window needs x_min < x_max and t_min < t_max, "
-                             f"got {list(window)}")
         n = self.residual_n
         if type(n) is not int or finite_number(n, "residual_n") < 2:
             raise ValueError(f"residual_n must be an integer >= 2, got {n!r}")
         if not (self.evolution is None or isinstance(self.evolution, EvolutionSetup)):
             raise TypeError("evolution must be true, false or an object of "
                             f"EvolutionSetup fields, got {self.evolution!r}")
-        object.__setattr__(self, "window", window)
 
 
 @dataclass
@@ -366,10 +358,11 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
             )
     convention = resolve_convention(convention)
 
-    window, n = plan.window, plan.residual_n
-    residual_max = residual_sweep(cfg, window, n=n, convention=convention)
-    grid_spec = (f"{n}x{n} grid on x in [{window[0]}, {window[1]}], "
-                 f"t in [{window[2]}, {window[3]}], h={RESIDUAL_H}")
+    n = plan.residual_n
+    residual_max = residual_sweep(cfg, RESIDUAL_WINDOW, n=n, convention=convention)
+    x_min, x_max, t_min, t_max = RESIDUAL_WINDOW
+    grid_spec = (f"{n}x{n} grid on x in [{x_min}, {x_max}], "
+                 f"t in [{t_min}, {t_max}], h={RESIDUAL_H}")
 
     orbit = derive_orbit(cfg, convention)
     b_errs = boundary_errors(cfg, convention, L=boundary_window(orbit))

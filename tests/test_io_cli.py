@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kundunls
-from kundunls import fields, io, scattering, simple_pole, verification
+from kundunls import _mathctx, fields, io, scattering, simple_pole, verification
 from kundunls.cli import main
 from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSError,
                              SingularMatrix)
@@ -166,6 +167,57 @@ def test_cli_emit_gnuplot_adds_a_script_and_changes_no_other_byte(tmp_path):
     assert "splot 'fig2a.csv'" in script and "set title 'fig2a'" in script
 
 
+def _gnuplot_string(text):
+    """The leading gnuplot single-quoted string of text, unquoted, and the
+    rest of text; '' inside the quotes stands for one '."""
+    match = re.match(r"'((?:[^']|'')*)'", text)
+    assert match, text
+    return match.group(1).replace("''", "'"), text[match.end():]
+
+
+def test_gnuplot_script_quotes_the_config_name(tmp_path):
+    """A name that closes gnuplot's quotes stays one title and one file name."""
+    name = "x'; system('touch P'); print '"
+    config = _small_fig2a(tmp_path, name=name)
+    result = CliRunner().invoke(main, ["construct", str(config), "--out", str(tmp_path),
+                                       "--emit-gnuplot"])
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / f"{name}.gp").read_text().splitlines()
+    assert len(lines) == len(io.GNUPLOT_TEMPLATE.splitlines())
+    [title] = [line[len("set title "):] for line in lines if line.startswith("set title ")]
+    assert _gnuplot_string(title) == (name, "")
+    [splot] = [line[len("splot "):] for line in lines if line.startswith("splot ")]
+    csv, rest = _gnuplot_string(splot)
+    assert csv == f"{name}.csv" and (tmp_path / csv).is_file()
+    assert rest.startswith(" using 1:2:5 ")
+
+
+def test_directory_does_not_hide_a_preset(tmp_path, monkeypatch):
+    """An output directory named like a preset (construct fig2b --out fig2b)
+    leaves the preset reachable by name."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig2b").mkdir()
+    result = CliRunner().invoke(main, ["audit", "fig2b"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"] == "fig2b"
+
+
+def test_config_is_read_from_a_pipe():
+    raw = io.preset_dir().joinpath("fig2b.json").read_text()
+    result = _python("-m", "kundunls.cli", "audit", "/dev/stdin", input=raw,
+                     capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["config"] == "fig2b"
+
+
+@pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
+def test_sign_convention_option_is_gone(command):
+    """construct, evolve and audit use convention "a"; check picks it by probe."""
+    result = CliRunner().invoke(main, [command, "fig2a", "--sign-convention", "a"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--sign-convention" in result.output
+
+
 def _python(*args, **kwargs):
     """A Python process with this package on its path."""
     env = {**os.environ, "PYTHONPATH": str(Path(kundunls.__file__).parents[1])}
@@ -271,14 +323,15 @@ def _edited(raw, path, value):
     (("grid", "nx"), 10 ** 400, "NonFiniteValue"),
     (("grid", "t_min"), "-5", "BadNumber"),
     (("name",), "../fig2a", "BadName"),
+    (("name",), "fig2a\nplot", "BadName"),
+    (("name",), "fig2a\x00", "BadName"),
+    (("name",), "fig2a\x85", "BadName"),
     (("q_minus",), [1e200, 0.0], "Unrepresentable"),
     (("eigenvalues", 0, "z"), [0.0, 5e-324], "Unrepresentable"),
     ((), [], "ConfigShape"),
     (("schema",), True, "SchemaVersion"),
     (("verification",), {"evolution": {"bogus": 1}}, "BadPlan"),
-    (("verification",), {"window": 5}, "BadPlan"),
-    (("verification",), {"window": [0, 0, 0, 0]}, "BadPlan"),
-    (("verification",), {"window": [-5, 5, 3, -3]}, "BadPlan"),
+    (("verification",), {"window": [-5, 5, -3, 3]}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": 0.5}}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": -0.5}}, "BadPlan"),
     (("uncertain",), "no", "BadFlag"),
@@ -300,10 +353,10 @@ def _edited(raw, path, value):
         "no-A_plus", "eigenvalues-object", "string-epsilon",
         "numeric-string-epsilon", "grid-list", "reversed-x", "string-nx",
         "numeric-string-nx", "bool-nx", "zero-nt", "nan-x_max", "huge-nx", "string-t_min",
-        "path-name", "overflowing-Q0-squared", "underflowing-mirror-point",
+        "path-name", "newline-name", "nul-name", "c1-control-name",
+        "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
-        "plan-scalar-window", "plan-empty-window", "plan-reversed-window",
-        "plan-empty-evolution-span",
+        "plan-window", "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
         "plan-boundary_L", "plan-gates", "plan-h", "plan-huge-residual_n",
@@ -364,9 +417,9 @@ def _exits_with_error(args):
 
 @pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
 def test_cli_unreadable_config_exits_1(tmp_path, command):
-    """A directory, a file that is not UTF-8 text, JSON nested deeper than
-    the parser recurses or an integer too long to convert is an error, not a
-    traceback."""
+    """A directory that names no preset, a file that is not UTF-8 text, JSON
+    nested deeper than the parser recurses or an integer too long to convert
+    is an error, not a traceback."""
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     deep = tmp_path / "deep.json"
@@ -413,12 +466,19 @@ def _singular_row(orbit, xs, t):
     return [(complex("nan+nanj"), "singular", float("inf"))] * len(xs)
 
 
-def _failing_point(*args, **kwargs):
-    raise ZeroDivisionError("stand-in failure")
+def _failing_mp_point(orbit, x, t, ctx=_mathctx.FLOAT, **kwargs):
+    """Fails in the dps-40 sweep only, so the float convention probe passes."""
+    if ctx is not _mathctx.FLOAT:
+        raise ZeroDivisionError("stand-in failure")
+    return _EVALUATE_Q(orbit, x, t, ctx=ctx, **kwargs)
+
+
+_EVALUATE_Q = simple_pole.evaluate_q
 
 
 @pytest.mark.parametrize("command, name, stand_in, message", [
-    ("check", "evaluate_q", _failing_point, "stencil around"),
+    # the sweep's first node, not the probe's stencil at x=0.3
+    ("check", "evaluate_q", _failing_mp_point, "stencil around (x=-5.0, t=-3.0,"),
     ("check", "sample_row", _singular_row, "singular points in the exact slice"),
     ("evolve", "sample_row", _singular_row, "singular points in the exact slice"),
 ], ids=["check-sweep", "check-slice", "evolve-slice"])
@@ -429,7 +489,7 @@ def test_solver_failure_in_verification_exits_1(tmp_path, monkeypatch, command, 
     monkeypatch.setattr(simple_pole, name, stand_in)
     cfg = _small_fig2a(tmp_path, verification={
         "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2})
-    result = CliRunner().invoke(main, [command, str(cfg), "--sign-convention", "a"])
+    result = CliRunner().invoke(main, [command, str(cfg)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.output.startswith("error: ") and message in result.output
@@ -498,8 +558,7 @@ def _key_paths(obj, prefix=()):
 SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
 SMALL_FIG2A["grid"].update(nx=5, nt=3)
 SMALL_FIG2A.update(uncertain=False, verification={
-    "window": [-1, 1, -1, 1], "residual_n": 3,
-    "evolution": {"M": 256, "dt": 0.01}})
+    "residual_n": 3, "evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)

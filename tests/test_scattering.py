@@ -113,9 +113,18 @@ def test_audit_names_the_one_broken_relation(fig4a):
     diags = audit(bad, seed=3)
     assert [d.code for d in diags] == [
         "ThetaCondition", "MirrorPoints", "NormingChainFirst",
-        "NormingChainConjugate", "NormingChainExtended", "TraceProduct"]
+        "NormingChainConjugate", "TraceProduct"]
     assert [d.code for d in diags if not d.ok] == ["NormingChainFirst"]
     assert all(d.ok for d in audit(orbit, seed=3))
+
+
+def test_double_pole_audit_adds_the_derivative_chains(fig7a):
+    diags = audit(derive_orbit(fig7a, "a"), seed=3)
+    assert [d.code for d in diags] == [
+        "ThetaCondition", "MirrorPoints", "NormingChainFirst",
+        "NormingChainConjugate", "DerivativeChainShift",
+        "DerivativeChainConjugate", "TraceProduct"]
+    assert all(d.ok for d in diags)
 
 
 def test_double_symmetries_catch_derivative_corruption(fig7a):

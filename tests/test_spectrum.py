@@ -120,7 +120,7 @@ def test_convention_resolution():
 
 def test_double_orbit_carries_derivative_constants(fig7a):
     orbit = derive_orbit(fig7a, "a")
-    assert len(orbit.B_plus_xi) == 2 and len(orbit.B_minus_xihat) == 2
+    assert len(orbit.A_minus_xihat) == 2 and len(orbit.B_minus_xihat) == 2
     z = 1.5j
     bshift = (z * z / 1.0) * ((1 + 0j) - 2 / z)
     assert abs(orbit.B_minus_xihat[0] - bshift) < 1e-14
@@ -129,7 +129,7 @@ def test_double_orbit_carries_derivative_constants(fig7a):
 
 def test_simple_orbit_has_no_derivative_constants(fig2a):
     orbit = derive_orbit(fig2a, "a")
-    assert orbit.B_plus_xi == () and orbit.B_minus_xihat == ()
+    assert len(orbit.A_minus_xihat) == 2 and orbit.B_minus_xihat == ()
 
 
 def test_eigenvalue_canonicalized_inside_orbit_table():
