@@ -100,7 +100,7 @@ def check(config):
     """Run the verification battery and print the report as JSON; the sign
     convention is the one the residual probe picks."""
     run = io.load_config(config)
-    report = verification.verify(run.cfg, plan=run.plan)
+    report = verification.verify(run.cfg, run.evolution)
     payload = report.to_dict()
     payload["config"] = run.name
     if run.uncertain and not report.passed:
@@ -117,7 +117,7 @@ def check(config):
 def evolve(config):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
     run = io.load_config(config)
-    setup = run.plan.evolution or EvolutionSetup()
+    setup = run.evolution or EvolutionSetup()
     err, reason = verification.evolution_step(run.cfg, setup)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:

@@ -9,7 +9,7 @@ import json
 import math
 import sys
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from .errors import (ConfigParseError, ConfigValidationError, Diagnostic, Number
                      finite_number)
 from .fields import FieldGrid
 from .spectrum import EigenEntry, PoleOrder, SpectralConfig
-from .verification import EvolutionSetup, Plan
+from .verification import EvolutionSetup
 
 SCHEMA_VERSION = 1
 
@@ -31,12 +31,13 @@ GRID_KEYS = ("x_min", "x_max", "nx", "t_min", "t_max", "nt")
 
 @dataclass
 class RunConfig:
-    """One deserialized run: spectral data plus grid and verification plan."""
+    """One deserialized run: spectral data, grid and split-step setup (None:
+    ``check`` skips the split-step check)."""
 
     cfg: SpectralConfig
     grid: dict
     name: str = ""
-    plan: Plan = field(default_factory=Plan)
+    evolution: EvolutionSetup | None = EvolutionSetup()
     uncertain: bool = False
 
 
@@ -81,22 +82,24 @@ def _check_grid(grid) -> None:
     _known_keys(grid, GRID_KEYS, "grid")
 
 
-def _read_plan(plan) -> Plan:
-    """The verification object as a ``Plan``, which checks its own fields; a
-    missing key keeps the field's default.  A null is rejected, though Plan
-    takes None for ``evolution``: JSON spells that ``"evolution": false``."""
+def _read_plan(plan) -> EvolutionSetup | None:
+    """The verification object's split-step setup, which checks its own
+    fields: ``"evolution"`` true (the default) or an object of setup fields,
+    each missing one at its default, or false for None.  Any other key, and
+    a null, is rejected."""
     try:
         if not isinstance(plan, dict):
             raise TypeError(f"must be an object, got {plan!r}")
-        nulls = sorted(key for key, v in plan.items() if v is None)
-        if nulls:
-            raise ValueError(f"keys {nulls} must not be null")
+        unknown = sorted(set(plan) - {"evolution"})
+        if unknown:
+            raise TypeError(f"keys {unknown} cannot be set, only evolution")
         evolution = plan.get("evolution", True)
         if isinstance(evolution, bool):
-            evolution = EvolutionSetup() if evolution else None
-        elif isinstance(evolution, dict):
-            evolution = EvolutionSetup(**evolution)
-        return Plan(**{**plan, "evolution": evolution})
+            return EvolutionSetup() if evolution else None
+        if isinstance(evolution, dict):
+            return EvolutionSetup(**evolution)
+        raise TypeError("evolution must be true, false or an object of "
+                        f"EvolutionSetup fields, got {evolution!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigValidationError([Diagnostic(
             "BadPlan", f"verification: {exc}")]) from None
@@ -211,7 +214,7 @@ def load_config(path) -> RunConfig:
         cfg=cfg,
         grid=grid,
         name=name,
-        plan=_read_plan(raw.get("verification", {})),
+        evolution=_read_plan(raw.get("verification", {})),
         uncertain=uncertain,
     )
 

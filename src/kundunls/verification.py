@@ -9,6 +9,7 @@ three at once would have to be a genuine solution.
 
 import math
 import os
+import sys
 import threading
 from dataclasses import asdict, dataclass
 
@@ -18,7 +19,8 @@ from . import _mathctx, scattering
 from .errors import (PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure,
                      finite_number)
 from .fields import POLE_MODULES
-from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit, resolve_convention
+from .spectrum import (DEFAULT_SIGN_CONVENTION, SIGN_CONVENTIONS, SpectralConfig,
+                       derive_orbit)
 from .uniformization import lambda_of_z
 
 RESIDUAL_DPS = 40
@@ -31,17 +33,18 @@ BOUNDARY_T = 0.0
 #: Pass thresholds for the report's overall verdict.  Boundary is looser than
 #: the best configurations achieve because tail decay rates vary by spectrum.
 DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
-#: The box (x_min, x_max, t_min, t_max) and stencil step of ``check``'s
-#: residual sweep.
+#: The box (x_min, x_max, t_min, t_max), nodes per axis and stencil step of
+#: ``check``'s residual sweep.
 RESIDUAL_WINDOW = (-5.0, 5.0, -3.0, 3.0)
+RESIDUAL_N = 21
 RESIDUAL_H = 1e-3
 
 
 @dataclass(frozen=True)
 class EvolutionSetup:
     """Periodic window and stepping for the split-step cross-check; checked on
-    construction: L, dt > 0, M a power of two, t1 > t0 and t1 - t0 a whole
-    number of steps."""
+    construction: L, dt > 0, M a power of two whose complex samples fit in
+    one array, t1 > t0 and t1 - t0 a whole number of steps, at least one."""
 
     L: float = 40.0
     M: int = 4096
@@ -59,34 +62,16 @@ class EvolutionSetup:
             object.__setattr__(self, name, value)
         if self.M & (self.M - 1):
             raise ValueError(f"M = {self.M} is not a power of two")
+        if 16 * self.M > sys.maxsize:  # bytes of M complex128 samples
+            raise ValueError(f"M = {self.M} samples do not fit in one array")
         if not self.t1 > self.t0:
             raise ValueError("evolution span needs t1 > t0")
         span = self.t1 - self.t0
         steps = span / self.dt
-        if not math.isfinite(steps) or abs(round(steps) * self.dt - span) > 1e-9:
-            raise ValueError("evolution span must be an integer number of steps")
-
-
-@dataclass(frozen=True)
-class Plan:
-    """How ``check`` verifies a config and how ``evolve`` steps it: the
-    config's ``verification`` object, each missing key at its default.
-
-    ``evolution`` None disables the split-step check in ``check``.  Each
-    field is checked on construction, so a bad value raises ``ValueError`` or
-    ``TypeError``.
-    """
-
-    residual_n: int = 21
-    evolution: EvolutionSetup | None = EvolutionSetup()
-
-    def __post_init__(self):
-        n = self.residual_n
-        if type(n) is not int or finite_number(n, "residual_n") < 2:
-            raise ValueError(f"residual_n must be an integer >= 2, got {n!r}")
-        if not (self.evolution is None or isinstance(self.evolution, EvolutionSetup)):
-            raise TypeError("evolution must be true, false or an object of "
-                            f"EvolutionSetup fields, got {self.evolution!r}")
+        if (not math.isfinite(steps) or round(steps) < 1
+                or abs(round(steps) * self.dt - span) > 1e-9):
+            raise ValueError("evolution span must be a whole number of steps, "
+                             "at least one")
 
 
 @dataclass
@@ -149,7 +134,7 @@ def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
     return evaluator, orbit
 
 
-def residual_sweep(cfg: SpectralConfig, window, n: int = 21, h: float = RESIDUAL_H,
+def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = RESIDUAL_H,
                    convention: str = "auto") -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
     evaluated with ``RESIDUAL_DPS`` digits.
@@ -343,12 +328,15 @@ def boundary_window(orbit) -> float:
     return min(max(30.0, 20 / rate if rate > 0 else math.inf), 250.0)
 
 
-def verify(cfg: SpectralConfig, plan: Plan = Plan(),
-           convention: str = "auto") -> VerificationReport:
-    """Run the full independent-check battery of ``plan`` and report."""
+def verify(cfg: SpectralConfig,
+           evolution: EvolutionSetup | None = EvolutionSetup()) -> VerificationReport:
+    """Run the full independent-check battery and report; ``evolution`` None
+    skips the split-step check.  The sign convention is the one the residual
+    probe picks, ``DEFAULT_SIGN_CONVENTION`` when there are no eigenvalues."""
     warnings_list = []
 
-    if convention == "auto" and cfg.N > 0:
+    convention = DEFAULT_SIGN_CONVENTION
+    if cfg.N > 0:
         probes = probe_convention(cfg)
         convention = min(probes, key=probes.get)
         if probes[convention] > 1e-3:
@@ -356,9 +344,8 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
                 f"no sign convention yields a small residual (best {convention}: "
                 f"{probes[convention]:.3e})"
             )
-    convention = resolve_convention(convention)
 
-    n = plan.residual_n
+    n = RESIDUAL_N
     residual_max = residual_sweep(cfg, RESIDUAL_WINDOW, n=n, convention=convention)
     x_min, x_max, t_min, t_max = RESIDUAL_WINDOW
     grid_spec = (f"{n}x{n} grid on x in [{x_min}, {x_max}], "
@@ -371,7 +358,7 @@ def verify(cfg: SpectralConfig, plan: Plan = Plan(),
     if not theta_diag.ok:
         warnings_list.append(theta_diag.message)
 
-    evo_err, evo_reason = evolution_step(cfg, plan.evolution, convention)
+    evo_err, evo_reason = evolution_step(cfg, evolution, convention)
     return VerificationReport(
         residual_max=residual_max,
         residual_grid_spec=grid_spec,

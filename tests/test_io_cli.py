@@ -20,7 +20,7 @@ from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSEr
                              SingularMatrix)
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
-from kundunls.verification import Plan
+from kundunls.verification import EvolutionSetup
 
 
 def one_point_grid():
@@ -342,8 +342,12 @@ def _edited(raw, path, value):
     (("verification",), {"boundary_L": 40}, "BadPlan"),
     (("verification",), {"gates": {"evolution": 1.0}}, "BadPlan"),
     (("verification",), {"h": 1e-3}, "BadPlan"),
-    (("verification",), {"residual_n": 10 ** 400}, "BadPlan"),
+    (("verification",), {"residual_n": 21}, "BadPlan"),
     (("verification",), {"evolution": None}, "BadPlan"),
+    (("verification",), {"evolution": {"M": 2 ** 62}}, "BadPlan"),
+    (("verification",), {"evolution": {"M": 2 ** 63}}, "BadPlan"),
+    (("verification",), {"evolution": {"M": 256, "dt": 1e-4, "t0": 0.0, "t1": 1e-10}},
+     "BadPlan"),
     (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
      "ContourEigenvalue"),
     (("q_minus",), [True, False], "BadComplex"),
@@ -359,8 +363,9 @@ def _edited(raw, path, value):
         "plan-window", "plan-empty-evolution-span",
         "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
-        "plan-boundary_L", "plan-gates", "plan-h", "plan-huge-residual_n",
-        "plan-null-evolution", "near-circle-z", "bool-q_minus", "bool-z"])
+        "plan-boundary_L", "plan-gates", "plan-h", "plan-residual_n",
+        "plan-null-evolution", "plan-M-2**62", "plan-M-2**63", "plan-under-half-a-step",
+        "near-circle-z", "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     raw["grid"].update(nx=5, nt=3)
@@ -449,11 +454,11 @@ def _small_fig2a(tmp_path, **top):
     return path
 
 
-def test_check_and_evolve_share_the_evolution_gate(tmp_path):
+def test_check_and_evolve_share_the_evolution_gate(tmp_path, monkeypatch):
     """400 steps of dt 0.01 on fig2a leave an error of about 0.05: both commands
     fail it by the one evolution gate, 1e-5."""
-    cfg = _small_fig2a(tmp_path, verification={
-        "evolution": {"dt": 0.01}, "residual_n": 2})
+    monkeypatch.setattr(verification, "RESIDUAL_N", 2)
+    cfg = _small_fig2a(tmp_path, verification={"evolution": {"dt": 0.01}})
     check = CliRunner().invoke(main, ["check", str(cfg)])
     evolve = CliRunner().invoke(main, ["evolve", str(cfg)])
     err = json.loads(evolve.output)["linf_error"]
@@ -487,8 +492,8 @@ def test_solver_failure_in_verification_exits_1(tmp_path, monkeypatch, command, 
     """A failing sweep point or a singular slice point is an error, not a
     traceback and not a NaN error."""
     monkeypatch.setattr(simple_pole, name, stand_in)
-    cfg = _small_fig2a(tmp_path, verification={
-        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2})
+    monkeypatch.setattr(verification, "RESIDUAL_N", 2)
+    cfg = _small_fig2a(tmp_path, verification={"evolution": {"M": 256, "dt": 0.01}})
     result = CliRunner().invoke(main, [command, str(cfg)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
@@ -509,8 +514,8 @@ def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, command, module, name,
         raise error("stand-in")
 
     monkeypatch.setattr(module, name, stand_in)
-    cfg = _small_fig2a(tmp_path, verification={
-        "evolution": {"M": 256, "dt": 0.01}, "residual_n": 2})
+    monkeypatch.setattr(verification, "RESIDUAL_N", 2)
+    cfg = _small_fig2a(tmp_path, verification={"evolution": {"M": 256, "dt": 0.01}})
     args = [command, str(cfg)] + (["--out", str(tmp_path / "out")]
                                   if command == "construct" else [])
     assert "stand-in" in _exits_with_error(args).output
@@ -519,7 +524,7 @@ def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, command, module, name,
 def test_config_without_plan_reads_the_default_plan(tmp_path):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
     assert "verification" not in raw
-    assert io.load_config(_small_fig2a(tmp_path)).plan == Plan()
+    assert io.load_config(_small_fig2a(tmp_path)).evolution == EvolutionSetup()
 
 
 def test_threads_start_no_worker_process(tmp_path, monkeypatch):
@@ -557,8 +562,7 @@ def _key_paths(obj, prefix=()):
 
 SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
 SMALL_FIG2A["grid"].update(nx=5, nt=3)
-SMALL_FIG2A.update(uncertain=False, verification={
-    "residual_n": 3, "evolution": {"M": 256, "dt": 0.01}})
+SMALL_FIG2A.update(uncertain=False, verification={"evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)

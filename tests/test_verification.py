@@ -13,7 +13,7 @@ from probes import peak_locations
 from kundunls import _mathctx, io, verification
 from kundunls.errors import PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
-from kundunls.verification import (EvolutionSetup, Plan, boundary_errors, boundary_window,
+from kundunls.verification import (EvolutionSetup, boundary_errors, boundary_window,
                                    evolution_cross_check, exact_slice, pde_residual,
                                    probe_convention, residual_sweep,
                                    split_step_evolve, verify, _evaluator)
@@ -131,7 +131,8 @@ def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
 
     monkeypatch.setattr(verification, "_evaluator", nan_at_centre)
     assert math.isnan(residual_sweep(fig2a, verification.RESIDUAL_WINDOW, n=3))
-    report = verify(fig2a, plan=Plan(residual_n=3, evolution=None), convention="a")
+    monkeypatch.setattr(verification, "RESIDUAL_N", 3)
+    report = verify(fig2a, evolution=None)
     assert math.isnan(report.residual_max) and not report.passed
 
 
@@ -333,19 +334,29 @@ def test_split_step_rejects_bad_grid():
                           EvolutionSetup(M=100), 1.0)
 
 
+#: No eigenvalues: were a fixed setting a keyword of verify, the call would
+#: run a cheap sweep and return instead of raising
+BACKGROUND = SpectralConfig(q_minus=1 + 0j, epsilon=1.0, gamma0=0.0,
+                            pole_order=PoleOrder.SIMPLE, eigenvalues=())
+
+
 @pytest.mark.parametrize("build, error", [
-    (lambda: Plan(residual_n=1, evolution=None), ValueError),
-    (lambda: Plan(residual_n=10 ** 400), ValueError),
-    (lambda: Plan(window=(-5, 5, -3, 3)), TypeError),
-    (lambda: Plan(gates={"evolution": 1.0}), TypeError),
-    (lambda: Plan(h=1e-3), TypeError),
+    (lambda: verify(BACKGROUND, residual_n=3), TypeError),
+    (lambda: verify(BACKGROUND, window=(-5, 5, -3, 3)), TypeError),
+    (lambda: verify(BACKGROUND, gates={"evolution": 1.0}), TypeError),
+    (lambda: verify(BACKGROUND, h=1e-3), TypeError),
     (lambda: EvolutionSetup(t1=-2.0), ValueError),
     (lambda: EvolutionSetup(M=100), ValueError),
     (lambda: EvolutionSetup(M=2 ** 1100), ValueError),
+    (lambda: EvolutionSetup(M=2 ** 62), ValueError),
+    (lambda: EvolutionSetup(M=2 ** 63), ValueError),
+    (lambda: EvolutionSetup(M=256, dt=1e-4, t0=0.0, t1=1e-10), ValueError),
     (lambda: EvolutionSetup(dt=float("nan")), ValueError),
-], ids=["residual_n-1", "huge-residual_n", "no-window", "no-gates", "no-h", "empty-span", "M-100", "huge-M", "nan-dt"])
+], ids=["no-residual_n", "no-window", "no-gates", "no-h", "empty-span", "M-100",
+        "huge-M", "M-2**62", "M-2**63", "under-half-a-step", "nan-dt"])
 def test_plan_and_setup_check_their_fields(build, error):
-    """A plan built in Python is held to the rules a config's plan is."""
+    """verify takes none of the fixed sweep settings, and a split-step setup
+    built in Python is held to the rules a config's is."""
     with pytest.raises(error):
         build()
 
@@ -378,13 +389,14 @@ def test_boundary_flatness_decays_with_window(fig2a):
     assert errs[1] < errs[0] / 30 and errs[2] < errs[1] / 30
 
 
-def test_boundary_window_follows_slowest_tail(fig2a, fig4a):
+def test_boundary_window_follows_slowest_tail(monkeypatch, fig2a, fig4a):
     # 2 Im lambda(z) is 5/6 for fig2a and 1/2 for fig4a's z = 1 + i, so 20
     # e-folds need L = 24 (raised to 30) and L = 40; fig3a barely decays
     assert boundary_window(derive_orbit(fig2a, "a")) == 30.0
     assert boundary_window(derive_orbit(fig4a, "a")) == pytest.approx(40.0)
     assert boundary_window(derive_orbit(io.load_config("fig3a").cfg, "a")) == 250.0
-    report = verify(fig4a, plan=Plan(residual_n=3, evolution=None))
+    monkeypatch.setattr(verification, "RESIDUAL_N", 3)
+    report = verify(fig4a, evolution=None)
     assert max(report.boundary_errors) < 1e-6 and report.passed
 
 
@@ -397,7 +409,10 @@ def test_peak_refinement_quadratic():
 
 
 def test_verify_background_config(background_only):
-    report = verify(background_only, plan=Plan(residual_n=3, evolution=None))
+    report = verify(background_only, evolution=None)
+    assert report.residual_grid_spec == (
+        "21x21 grid on x in [-5.0, 5.0], t in [-3.0, 3.0], h=0.001")
+    assert report.convention_sign == "a"  # no eigenvalues to probe
     assert report.residual_max == 0
     assert report.passed
     assert report.evolution_reason == "disabled by plan"
@@ -406,25 +421,24 @@ def test_verify_background_config(background_only):
 def test_report_gates_are_its_own_copy(background_only):
     """Editing the gates of a serialized report changes neither the package's
     gates nor the next verdict."""
-    plan = Plan(residual_n=3, evolution=None)
-    report = verify(background_only, plan=plan)
+    report = verify(background_only, evolution=None)
     d = report.to_dict()
     assert d["gates"] == {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
     d["gates"]["residual"] = -1.0
     assert verification.DEFAULT_GATES["residual"] == 1e-6
-    assert report.passed and verify(background_only, plan=plan).passed
+    assert report.passed and verify(background_only, evolution=None).passed
 
 
-def test_verify_fig4a_marks_evolution_not_applicable(fig4a):
-    report = verify(fig4a, plan=Plan(residual_n=3,
-                                      evolution=EvolutionSetup(M=256, dt=1e-2)))
+def test_verify_fig4a_marks_evolution_not_applicable(monkeypatch, fig4a):
+    monkeypatch.setattr(verification, "RESIDUAL_N", 3)
+    report = verify(fig4a, EvolutionSetup(M=256, dt=1e-2))
     assert report.evolution_linf_error is None
     assert "PeriodicIncompatible" in report.evolution_reason
     assert report.residual_max < 1e-6
 
 
 def test_report_serializes(background_only):
-    report = verify(background_only, plan=Plan(residual_n=3, evolution=None))
+    report = verify(background_only, evolution=None)
     d = report.to_dict()
     assert d["passed"] is True
     assert d["convention_sign"] in ("a", "b")
