@@ -73,13 +73,13 @@ def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
     xs = [float(x) for x in xs]
     ts = [float(t) for t in ts]
     sample_row = POLE_MODULES[orbit.cfg.pole_order].sample_row
-    rows = [sample_row(orbit, xs, t) for t in ts]
-
     phase = cmath.exp(-1j * cfg.gamma0) / cfg.epsilon
     q_values, u_values, flags = [], [], []
-    for row in rows:
-        us = [q * phase for q, _, _ in row]  # not finite whenever q is not
-        q_values.append([q for q, _, _ in row])
+    for t in ts:  # each row's (q, flag, cond) tuples go as soon as it is split
+        row = sample_row(orbit, xs, t)
+        qs = [q for q, _, _ in row]
+        us = [q * phase for q in qs]  # not finite whenever q is not
+        q_values.append(qs)
         u_values.append(us)
         flags.append([flag if cmath.isfinite(u) else "singular"
                       for (_, flag, _), u in zip(row, us)])

@@ -1,16 +1,20 @@
 """Config ingestion, grid serialization, and figure emission.
 
 The CSV and PGM writers are deliberately boring and bit-deterministic:
-numbers go out in shortest round-trip decimal form and images as binary
-NetPBM, so golden-file tests can compare raw bytes.
+numbers go out in shortest round-trip decimal form, text with "\n" line
+ends on every platform and images as binary NetPBM, so golden-file tests
+can compare raw bytes.  The grid writers stream one t row at a time and
+keep no copy of the whole file.
 """
 
 import json
 import math
 import sys
 import unicodedata
+from array import array
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import (ConfigParseError, ConfigValidationError, Diagnostic, NumberError,
@@ -226,29 +230,42 @@ def _fmt(v: float) -> str:
 
 
 def write_grid_csv(grid: FieldGrid, path):
-    lines = [CSV_HEADER]
-    for i, t in enumerate(grid.ts):
-        for j, x in enumerate(grid.xs):
-            u = grid.u_values[i][j]
-            q = grid.q_values[i][j]
-            lines.append(",".join((
-                _fmt(x), _fmt(t),
-                _fmt(u.real), _fmt(u.imag), _fmt(abs(u)),
-                _fmt(q.real), _fmt(q.imag),
-                grid.flags[i][j],
-            )))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    xs = [_fmt(x) for x in grid.xs]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(CSV_HEADER + "\n")
+        for t, us, qs, flags in zip(grid.ts, grid.u_values, grid.q_values, grid.flags):
+            t = _fmt(t)
+            f.write("".join(
+                f"{x},{t},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))},"
+                f"{_fmt(q.real)},{_fmt(q.imag)},{flag}\n"
+                for x, u, q, flag in zip(xs, us, qs, flags)))
 
 
 def write_grid_json(grid: FieldGrid, path):
-    Path(path).write_text(json.dumps(grid.to_dict()) + "\n", encoding="utf-8")
+    """The bytes of ``json.dumps(grid.to_dict())`` and a newline: a list
+    dumps as its items' dumps joined by ", " inside [ ], so each t row is
+    dumped on its own."""
+    def pairs(row):
+        return [[v.real, v.imag] for v in row]
+
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f'{{"xs": {json.dumps(list(grid.xs))}, "ts": {json.dumps(list(grid.ts))}')
+        for key, rows, item in (("q_values", grid.q_values, pairs),
+                                ("u_values", grid.u_values, pairs),
+                                ("flags", grid.flags, list)):
+            f.write(f', "{key}": [')
+            for i, row in enumerate(rows):
+                f.write((", " if i else "") + json.dumps(item(row)))
+            f.write("]")
+        f.write(f', "config_digest": {json.dumps(grid.config_digest)}}}\n')
 
 
 def render_pgm(grid: FieldGrid, path):
     """Binary 8-bit NetPBM heatmap of |u|; top row is t_max."""
-    rows = [[abs(v) for v in row] for row in grid.u_values]
-    finite = [v for row in rows for v in row if math.isfinite(v)]
-    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    # one double per point, from abs(complex): numpy.abs can differ in the last ulp
+    rows = [array("d", map(abs, row)) for row in grid.u_values]
+    lo, hi = (extreme(filter(math.isfinite, chain.from_iterable(rows)), default=0.0)
+              for extreme in (min, max))
     nx, nt = len(grid.xs), len(grid.ts)
     out = bytearray(f"P5\n{nx} {nt}\n255\n".encode("ascii"))
     for row in reversed(rows):  # last t first, so the image reads top-down in t
@@ -258,7 +275,7 @@ def render_pgm(grid: FieldGrid, path):
             else:
                 pix = round(255 * (v - lo) / (hi - lo))
             out.append(pix)
-    Path(path).write_bytes(bytes(out))
+    Path(path).write_bytes(out)
 
 
 GNUPLOT_TEMPLATE = """\
@@ -280,4 +297,4 @@ def emit_gnuplot(csv_path, path, title: str = "|u|"):
 
     Path(path).write_text(GNUPLOT_TEMPLATE.format(
         csv=csv_path, quoted_csv=quoted(csv_path), title=quoted(title)),
-        encoding="utf-8")
+        encoding="utf-8", newline="\n")

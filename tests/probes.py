@@ -1,9 +1,11 @@
 """Measurements that only the tests take: peak positions of sampled curves,
 the order of a zero of s11 and the background level of the gauge-side
-field u."""
+field u; and the CSV of a grid built as one string, the reference for the
+streamed writer."""
 
 import math
 
+from kundunls.io import CSV_HEADER, _fmt
 from kundunls.scattering import trace_s11
 
 #: The two relative offsets from z_n of ``zero_order_estimate``'s slope.
@@ -41,3 +43,20 @@ def zero_order_estimate(orbit, zn: complex) -> float:
 def background_u(cfg) -> float:
     """Background amplitude of the gauge-side field u, Q0 / |epsilon|."""
     return cfg.Q0 / abs(cfg.epsilon)
+
+
+def whole_csv(grid) -> str:
+    """The CSV text of ``io.write_grid_csv`` built as one string, with every
+    field of every point formatted on its own."""
+    lines = [CSV_HEADER]
+    for i, t in enumerate(grid.ts):
+        for j, x in enumerate(grid.xs):
+            u = grid.u_values[i][j]
+            q = grid.q_values[i][j]
+            lines.append(",".join((
+                _fmt(x), _fmt(t),
+                _fmt(u.real), _fmt(u.imag), _fmt(abs(u)),
+                _fmt(q.real), _fmt(q.imag),
+                grid.flags[i][j],
+            )))
+    return "\n".join(lines) + "\n"

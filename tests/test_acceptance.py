@@ -28,6 +28,10 @@ FIG2A_PGM_SHA256 = \
     "411fe3fe17b61c65e11bb82511830642cc1f55124d2057fb34675fe70c529a26"
 FIG7A_PGM_SHA256 = \
     "ee793a47f64bf2c2e841b8d59d955dc8453abcf8d2df70f149d0dfd27e7e2b7f"
+FIG7A_CSV_SHA256 = \
+    "0bbab162ce83d27e158a333f467141da042abdf41acd67252ae570c445214e57"
+FIG7A_JSON_SHA256 = \
+    "cdfc987727fe4d8463525fe78501ee97bce18aba5c8e78940c1a4871647b25b3"
 
 
 def test_criterion_01_residual_gate_simple_poles(fig2a, fig4a):
@@ -176,7 +180,8 @@ def test_criterion_09_figure_phenomenology(fig2a):
 
 
 def test_criterion_10_deterministic_construction(tmp_path):
-    """construct emits byte-identical CSV and PGM across runs and threads."""
+    """construct emits byte-identical CSV, JSON and PGM across runs and
+    threads."""
     import hashlib
     runner = CliRunner()
     rerun = {"fig2a", "fig3b", "fig7a"}  # one large, one simple, one double
@@ -193,11 +198,13 @@ def test_criterion_10_deterministic_construction(tmp_path):
         r2 = runner.invoke(cli_main, ["construct", name, "--out", str(out2),
                                       "--threads", "2"])
         assert r2.exit_code == 0, (name, r2.output)
-        for ext in (".csv", ".pgm"):
+        for ext in (".csv", ".json", ".pgm"):
             b1 = (out1 / f"{name}{ext}").read_bytes()
             assert b1 == (out2 / f"{name}{ext}").read_bytes(), (name, ext)
-    for name, pinned in (("fig2a", FIG2A_PGM_SHA256), ("fig7a", FIG7A_PGM_SHA256)):
-        pgm = (tmp_path / "one" / name / f"{name}.pgm").read_bytes()
-        assert hashlib.sha256(pgm).hexdigest() == pinned, name
+    for file, pinned in (("fig2a.pgm", FIG2A_PGM_SHA256), ("fig7a.pgm", FIG7A_PGM_SHA256),
+                         ("fig7a.csv", FIG7A_CSV_SHA256),
+                         ("fig7a.json", FIG7A_JSON_SHA256)):
+        data = (tmp_path / "one" / file.split(".")[0] / file).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == pinned, file
     csv_rows = (tmp_path / "one/fig2a/fig2a.csv").read_text().splitlines()
     assert len(csv_rows) - 1 == 401 * 201  # header plus one row per sample

@@ -1,11 +1,16 @@
+import cmath
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kundunls
+from probes import whole_csv
 from kundunls import _mathctx, fields, io, scattering, simple_pole, verification
 from kundunls.cli import main
 from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSError,
@@ -87,6 +93,56 @@ def test_json_round_trip_bit_identical(tmp_path, fig2a):
     io.write_grid_json(grid, path)
     assert json.loads(path.read_text()) == grid.to_dict()
     assert grid.config_digest == config_digest(fig2a)
+
+
+#: Points a writer must spell as the whole-file form does: a singular point,
+#: infinities, a negative zero, integral values and long shortest reprs.
+EDGE_VALUES = (complex(math.nan, math.nan), complex(math.inf, -math.inf),
+               complex(-0.0, 0.0), 0j, 2 - 3j, complex(-1e300, 5e-324),
+               complex(0.1, 2 / 3), complex(-math.inf, 1.0))
+
+
+@pytest.mark.parametrize("nt, nx", [(1, 1), (1, 5), (5, 1), (3, 4)])
+def test_streamed_writers_match_whole_file_form(tmp_path, nt, nx):
+    values = itertools.cycle(EDGE_VALUES)
+    u = [[next(values) for _ in range(nx)] for _ in range(nt)]
+    q = [[next(values) for _ in range(nx)] for _ in range(nt)]
+    flags = [["ok" if cmath.isfinite(v) else "singular" for v in row] for row in u]
+    grid = FieldGrid(xs=[0.0, -0.0, 0.1, -2.5, 1e22][:nx],
+                     ts=[-0.0, 1.0, 2 / 3, -7.5, 3e-9][:nt],
+                     q_values=q, u_values=u, flags=flags, config_digest="d")
+    csv, js = tmp_path / "g.csv", tmp_path / "g.json"
+    io.write_grid_csv(grid, csv)
+    io.write_grid_json(grid, js)
+    assert csv.read_bytes() == whole_csv(grid).encode()
+    assert js.read_bytes() == (json.dumps(grid.to_dict()) + "\n").encode()
+    # an integral value drops its .0 in the CSV only; nan and inf as repr and
+    # json spell them
+    assert csv.read_text().splitlines()[1].startswith("0,-0,nan,nan,nan,")
+    assert js.read_text().startswith('{"xs": [0.0')
+    assert "inf" in csv.read_text() and "Infinity" in js.read_text()
+
+
+def test_streamed_writers_hold_one_row(tmp_path):
+    """While a grid writer runs, its traced peak stays below a tenth of the
+    file it writes; a writer that builds the whole text first peaks near
+    three times the CSV."""
+    rng = random.Random(5)
+    nt, nx = 200, 50
+    u = [[complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(nx)]
+         for _ in range(nt)]
+    grid = FieldGrid(xs=linspace(-5, 5, nx), ts=linspace(-2, 2, nt), q_values=u,
+                     u_values=u, flags=[["ok"] * nx for _ in range(nt)],
+                     config_digest="d")
+    for write, ext in ((io.write_grid_csv, "csv"), (io.write_grid_json, "json")):
+        path = tmp_path / f"g.{ext}"
+        tracemalloc.start()
+        try:
+            write(grid, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size, (ext, peak, path.stat().st_size)
 
 
 def test_pgm_degenerate_range_is_mid_gray(tmp_path):
