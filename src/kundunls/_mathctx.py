@@ -2,15 +2,15 @@
 
 Every solver-facing function in this package does its complex arithmetic
 through one of these contexts.  ``FLOAT`` uses the builtin ``complex`` type;
-``NUMPY`` evaluates the same formulas over a float64 array of x values at
-once, for batched grid rows; ``mp_context(dps)`` returns an mpmath-backed
-context used by the residual checker, where stencil differencing would
-otherwise be limited by double roundoff.
+``numpy_context()`` evaluates the same formulas over a float64 array of x
+values at once, for batched grid rows, and is built on first use, once per
+process; ``mp_context(dps)`` returns an mpmath-backed context used by the
+residual checker, where stencil differencing would otherwise be limited by
+double roundoff.
 """
 
 import cmath
-
-import numpy
+import functools
 
 
 class MathContext:
@@ -28,8 +28,16 @@ class MathContext:
 
 
 FLOAT = MathContext(complex, cmath.exp, cmath.log, cmath.phase, "float64")
-NUMPY = MathContext(lambda v: numpy.asarray(v, dtype=complex), numpy.exp, numpy.log,
-                    numpy.angle, "numpy-float64")
+
+
+@functools.cache
+def numpy_context():
+    # imported here, so that commands that compute no array do not pay for it;
+    # one object, so ``reconstruct.prepared`` keeps one entry per orbit
+    import numpy
+
+    return MathContext(lambda v: numpy.asarray(v, dtype=complex), numpy.exp, numpy.log,
+                       numpy.angle, "numpy-float64")
 
 
 def mp_context(dps=40):

@@ -11,8 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy
-
 from . import double_pole, simple_pole
 from .spectrum import OrbitTable, PoleOrder, SpectralConfig
 
@@ -87,4 +85,5 @@ def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
 
 
 def linspace(a: float, b: float, n: int):
+    import numpy
     return [float(v) for v in numpy.linspace(a, b, n)]

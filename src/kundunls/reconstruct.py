@@ -22,8 +22,6 @@ computation of every term at the point.
 import warnings
 from dataclasses import dataclass
 
-import numpy
-
 from . import _mathctx, linalg
 from .errors import NearSingularWarning, SingularMatrix
 from .spectrum import OrbitTable
@@ -67,7 +65,9 @@ def prepared(orbit: OrbitTable, ctx, make):
 def _shift(lw):
     """max(Re lw, 0); over an array, NaN where lw is not finite, so that the
     point's column, and with it its flag, becomes non-finite."""
-    if isinstance(lw, numpy.ndarray):
+    if getattr(lw, "ndim", 0):  # only the numpy context computes over arrays
+        import numpy
+
         return numpy.where(numpy.isfinite(lw), numpy.maximum(lw.real, 0.0), numpy.nan)
     return max(float(lw.real), 0.0)
 
@@ -123,6 +123,7 @@ def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
 
 def _columns(values, p):
     """(P, len(values)) array from a list of scalars and (P,) arrays."""
+    import numpy
     out = numpy.empty((p, len(values)), dtype=complex)
     for j, value in enumerate(values):
         out[:, j] = value
@@ -140,13 +141,15 @@ def sample_row(build, orbit: OrbitTable, xs, t: float):
     is exactly singular.  Every point's arithmetic is its own, so a row gives
     the same bits as its points one at a time.
     """
+    import numpy
+
     xs = numpy.asarray(xs, dtype=float)
     p = len(xs)
     if not orbit.xi:
         return [(complex(orbit.q_minus), "ok", 1.0)] * p
     with numpy.errstate(all="ignore"):
         try:
-            rows, rhs, r = build(orbit, xs, t, _mathctx.NUMPY)
+            rows, rhs, r = build(orbit, xs, t, _mathctx.numpy_context())
         except (ArithmeticError, ValueError):
             # only x-independent scalar arithmetic can raise here: a weight or
             # pole that left double range takes every point of the row with it

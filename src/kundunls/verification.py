@@ -13,8 +13,6 @@ import sys
 import threading
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import _mathctx, scattering
 from .errors import (PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure,
                      finite_number)
@@ -146,6 +144,8 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     count.  No worker outlives the call, and a worker's exception reaches the
     caller as the same exception.
     """
+    if type(n) is not int or n < 2:
+        raise ValueError(f"residual sweep n must be an integer >= 2, got {n!r}")
     ctx = _mathctx.mp_context(RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, convention, ctx)
     x_min, x_max, t_min, t_max = window
@@ -168,8 +168,10 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
         # worker repeats them
         pde_residual(evaluator, cfg, xs[0], ts[0], hh, ctx=ctx)
         rows = _fork_map(row, n, workers)
-    # numpy's max propagates NaN, so a non-finite residual fails the gate
-    return float(np.max(rows))
+    values = [v for r in rows for v in r]
+    # a NaN anywhere is the maximum, so a non-finite residual fails the gate;
+    # max alone would drop a NaN that is not first
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _sweep_workers(n_rows: int) -> int:
@@ -227,6 +229,8 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
     half-steps are fused into one full step, so only the first and the last
     are halves.
     """
+    import numpy as np
+
     q = np.array(q0_samples, dtype=complex)
     if q.shape != (setup.M,):
         raise ValueError(f"expected {setup.M} samples, got {q.shape}")
@@ -269,6 +273,8 @@ def probe_convention(cfg: SpectralConfig) -> dict:
 def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
                           convention: str = "auto") -> float:
     """L-inf mismatch between split-step evolution and the exact formula."""
+    import numpy as np
+
     orbit = derive_orbit(cfg, convention)
     if abs(orbit.q_plus - cfg.q_minus) > PERIODIC_GATE:
         raise PeriodicIncompatible(
@@ -289,6 +295,8 @@ def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
 def exact_slice(orbit, xs, t: float):
     """q(x, t) at every x in xs by the batched float route; raises
     SingularMatrix when a point is flagged singular."""
+    import numpy as np
+
     row = POLE_MODULES[orbit.cfg.pole_order].sample_row(orbit, xs, t)
     singular = [x for x, (_, flag, _) in zip(xs, row) if flag == "singular"]
     if singular:

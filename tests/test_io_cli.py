@@ -308,6 +308,36 @@ def test_cli_import_leaves_mpmath_out():
     assert probe.stdout == "False\n"
 
 
+NUMPY_PROBE = """
+import sys
+from kundunls import verification
+from kundunls.cli import main
+
+verification.RESIDUAL_N = 2
+loaded = ["numpy" in sys.modules]
+for args in sys.argv[1:]:
+    try:
+        main.main(args.split(), standalone_mode=False)
+    except SystemExit:
+        pass
+    loaded.append("numpy" in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """Only the commands that compute an array import numpy: presets, audit
+    and check without the split-step run none, evolve does."""
+    off = _small_fig2a(tmp_path, verification={"evolution": False})
+    short = off.with_name("short.json")
+    short.write_text(off.read_text().replace('"evolution": false',
+                                             '"evolution": {"M": 256, "dt": 0.01}'))
+    probe = _python("-c", NUMPY_PROBE, "presets", "audit fig2a", f"check {off.name}",
+                    f"evolve {short.name}", cwd=tmp_path, capture_output=True,
+                    text=True, check=True)
+    assert probe.stderr == "[False, False, False, False, True]\n"
+
+
 def test_cli_construct_reports_flags_by_kind(tmp_path):
     result = CliRunner().invoke(main, ["construct", "fig7d", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output

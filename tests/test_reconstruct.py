@@ -6,7 +6,7 @@ import warnings
 import numpy
 import pytest
 
-from kundunls import double_pole, fields, io, linalg, simple_pole
+from kundunls import _mathctx, double_pole, fields, io, linalg, simple_pole
 from kundunls.errors import NearSingularWarning, SingularMatrix
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 
@@ -118,3 +118,11 @@ def test_sample_row_is_bit_identical_to_single_points(name):
     for t in (g["t_min"], 0.37, g["t_max"]):
         row = module.sample_row(orbit, xs, t)
         assert [repr(s) for s in row] == [repr(module.point_sample(orbit, x, t)) for x in xs]
+
+
+def test_grid_rows_share_one_numpy_context(fig2a):
+    """Every t row runs in the one numpy context, so the orbit keeps one entry
+    of prepared constants, not one per row."""
+    orbit = derive_orbit(fig2a, "a")
+    fields.evaluate_grid(fig2a, orbit, fields.linspace(-2, 2, 5), fields.linspace(-1, 1, 4))
+    assert [ctx for _, ctx in orbit.prepared] == [_mathctx.numpy_context()]

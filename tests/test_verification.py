@@ -113,27 +113,46 @@ def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
     assert len(calls) == 2 * fig4a.N
 
 
-def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
-    """A NaN at one sweep node makes residual_max NaN and fails the gate."""
+def _nan_at(node):
+    """A stand-in for ``_evaluator`` whose field is NaN at the one point node."""
     real = verification._evaluator
 
-    def nan_at_centre(cfg, convention, ctx=verification._mathctx.FLOAT):
+    def nan_at_node(cfg, convention, ctx=verification._mathctx.FLOAT):
         evaluator, orbit = real(cfg, convention, ctx)
 
         def patched(x, t):
-            # (0, 0) is the centre node of a 3 x 3 sweep on RESIDUAL_WINDOW
-            # and no stencil point
-            if x == 0 and t == 0:
+            if (x, t) == node:
                 return ctx.convert(complex("nan+nanj"))
             return evaluator(x, t)
 
         return patched, orbit
 
-    monkeypatch.setattr(verification, "_evaluator", nan_at_centre)
+    return nan_at_node
+
+
+def test_residual_sweep_keeps_a_nan_residual(fig2a, monkeypatch):
+    """A NaN at one sweep node makes residual_max NaN and fails the gate."""
+    # (0, 0) is the centre node of a 3 x 3 sweep on RESIDUAL_WINDOW and no
+    # stencil point
+    monkeypatch.setattr(verification, "_evaluator", _nan_at((0, 0)))
     assert math.isnan(residual_sweep(fig2a, verification.RESIDUAL_WINDOW, n=3))
     monkeypatch.setattr(verification, "RESIDUAL_N", 3)
     report = verify(fig2a, evolution=None)
     assert math.isnan(report.residual_max) and not report.passed
+
+
+@pytest.mark.parametrize("node", [(5, 3), (-5, -3)], ids=["last", "first"])
+def test_residual_sweep_keeps_a_nan_at_either_end(fig2a, monkeypatch, node):
+    """The NaN of the sweep's last node follows the finite residuals of its
+    row, where a bare max would drop it; the first node's NaN precedes them."""
+    monkeypatch.setattr(verification, "_evaluator", _nan_at(node))
+    assert math.isnan(residual_sweep(fig2a, verification.RESIDUAL_WINDOW, n=3))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.0, True])
+def test_residual_sweep_needs_two_nodes_per_axis(fig2a, n):
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        residual_sweep(fig2a, verification.RESIDUAL_WINDOW, n=n)
 
 
 SMALL_WINDOW = (-1.0, 1.0, -1.0, 1.0)
