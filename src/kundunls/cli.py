@@ -4,27 +4,23 @@ import json
 import os
 import signal
 import sys
-from collections import Counter
-from dataclasses import asdict
-from pathlib import Path
 
 import click
 
-from . import fields, io, scattering, verification
+# each command imports what it runs, so presets and --help load no solver
+from . import preset_names
 from .errors import KunduNLSError
-from .spectrum import derive_orbit
-from .verification import EvolutionSetup
 
 
 def _check_threads(threads):
-    """Without --threads, NZBC_THREADS must be an integer; neither changes
-    the output."""
+    """Without --threads, NZBC_THREADS must be an integer >= 1; neither
+    changes the output."""
     env = os.environ.get("NZBC_THREADS")
     if threads is None and env:
         try:
-            int(env)
-        except ValueError:
-            raise click.UsageError(f"NZBC_THREADS={env!r} is not an integer")
+            THREADS.convert(env, None, None)
+        except click.BadParameter:
+            raise click.UsageError(f"NZBC_THREADS={env!r} is not an integer >= 1")
 
 
 class _ErrorBoundary(click.Group):
@@ -39,6 +35,9 @@ class _ErrorBoundary(click.Group):
         # runner calls ``main.main`` and keeps its own SIGPIPE handling
         if hasattr(signal, "SIGPIPE"):
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        # no OpenBLAS thread pool: the BLAS/LAPACK calls are small stacked (n <= 4N)
+        # solves; ROADMAP item 8's dense 2M x 2M eigensolve would want one back
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         return super().__call__(*args, **kwargs)
 
     def invoke(self, ctx):
@@ -49,8 +48,9 @@ class _ErrorBoundary(click.Group):
             sys.exit(1)
 
 
+THREADS = click.IntRange(min=1)
 threads_option = click.option(
-    "--threads", type=int, default=None,
+    "--threads", type=THREADS, default=None,
     help="Accepted for compatibility (default: NZBC_THREADS or 1); evaluation "
          "runs in one process and output is identical for any value.")
 seed_option = click.option(
@@ -72,8 +72,14 @@ def main():
 @threads_option
 def construct(config, out, emit_gnuplot, threads):
     """Sample the exact solution on the configured grid (CSV + JSON + PGM)."""
-    run = io.load_config(config)
+    from collections import Counter
+    from pathlib import Path
+
+    from . import fields, io
+    from .spectrum import derive_orbit
+
     _check_threads(threads)
+    run = io.load_config(config)
     orbit = derive_orbit(run.cfg)
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
@@ -99,6 +105,8 @@ def construct(config, out, emit_gnuplot, threads):
 def check(config):
     """Run the verification battery and print the report as JSON; the sign
     convention is the one the residual probe picks."""
+    from . import io, verification
+
     run = io.load_config(config)
     report = verification.verify(run.cfg, run.evolution)
     payload = report.to_dict()
@@ -116,8 +124,12 @@ def check(config):
 @click.argument("config")
 def evolve(config):
     """Split-step cross-check: evolve the exact t0 slice and compare at t1."""
+    from dataclasses import asdict
+
+    from . import io, verification
+
     run = io.load_config(config)
-    setup = run.evolution or EvolutionSetup()
+    setup = run.evolution or verification.EvolutionSetup()
     err, reason = verification.evolution_step(run.cfg, setup)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:
@@ -133,6 +145,9 @@ def evolve(config):
 @seed_option
 def audit(config, seed):
     """Audit scattering-data identities (symmetries, theta, trace products)."""
+    from . import io, scattering
+    from .spectrum import derive_orbit
+
     run = io.load_config(config)
     diags = scattering.audit(derive_orbit(run.cfg), seed)
     payload = {"config": run.name, "seed": seed,
@@ -145,7 +160,7 @@ def audit(config, seed):
 @main.command()
 def presets():
     """List the bundled figure configurations."""
-    for name in io.preset_names():
+    for name in preset_names():
         click.echo(name)
 
 

@@ -13,10 +13,10 @@ import sys
 import unicodedata
 from array import array
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 
+from . import preset_dir, preset_names  # noqa: F401
 from .errors import (ConfigParseError, ConfigValidationError, Diagnostic, NumberError,
                      finite_number)
 from .fields import FieldGrid
@@ -120,15 +120,6 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigValidationError([Diagnostic("MissingKey", f"{where} is missing")])
     return obj[key]
-
-
-def preset_dir():
-    return resources.files("kundunls").joinpath("presets")
-
-
-def preset_names():
-    return sorted(p.name[:-5] for p in preset_dir().iterdir()
-                  if p.name.endswith(".json"))
 
 
 def resolve_config_path(spec: str):

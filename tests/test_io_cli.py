@@ -338,6 +338,74 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     assert probe.stderr == "[False, False, False, False, True]\n"
 
 
+PACKAGE_PROBE = """
+import sys
+
+def package():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "kundunls")
+
+import kundunls
+loaded = [package()]
+import kundunls.cli
+loaded.append(package())
+kundunls.cli.main.main(["presets"], standalone_mode=False)
+loaded.append(package())
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_presets_loads_no_solver_config_or_verification_module():
+    """The package loads nothing on import, and the CLI only its error types
+    until a command runs that needs more."""
+    probe = _python("-c", PACKAGE_PROBE, capture_output=True, text=True, check=True)
+    cli = ["kundunls", "kundunls.cli", "kundunls.errors"]
+    assert probe.stderr == f"{[['kundunls'], cli, cli]}\n"
+    assert kundunls.preset_names() == io.preset_names()
+
+
+OPENBLAS_PROBE = """
+import os, sys
+from kundunls.cli import main
+
+try:
+    main(["presets"])
+finally:
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1"), ("3", "3")])
+def test_process_entry_defaults_openblas_to_one_thread(monkeypatch, value, expected):
+    """The console script and ``python -m`` start no OpenBLAS thread pool
+    unless the user asks for one."""
+    if value is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    probe = _python("-c", OPENBLAS_PROBE, capture_output=True, text=True)
+    assert probe.returncode == 0
+    assert probe.stderr == f"{expected}\n"
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "0"], None),
+                                       (["--threads", "-3"], None),
+                                       ([], "0"), ([], "two")],
+                         ids=["option-0", "option-minus-3", "env-0", "env-two"])
+def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, flag, env):
+    """A thread count below 1, or an NZBC_THREADS that is no integer, is a
+    usage error before the config is read."""
+    if env is None:
+        monkeypatch.delenv("NZBC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NZBC_THREADS", env)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["construct", str(_small_fig2a(tmp_path)),
+                                       "--out", str(out)] + flag)
+    assert result.exit_code == 2
+    assert ("--threads" if flag else "NZBC_THREADS") in result.output
+    assert not out.exists()
+
+
 def test_cli_construct_reports_flags_by_kind(tmp_path):
     result = CliRunner().invoke(main, ["construct", "fig7d", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
