@@ -9,6 +9,7 @@ downstream golden files stay byte-stable.
 import cmath
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import double_pole, simple_pole
@@ -64,9 +65,10 @@ def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
                   threads: int = 1) -> FieldGrid:
     """Sample u = q e^{-i gamma0} / epsilon and q over ts x xs.
 
-    Per-point failures become flags, not raises, and a non-finite u (or q) is
-    flagged singular.  Evaluation runs in this process, one batch per t row;
-    ``threads`` is accepted for callers that pass it and changes nothing.
+    Per-point failures become flags, not raises, and a u (or q) that is not
+    finite, or whose modulus is not, is flagged singular.  Evaluation runs in
+    this process, one batch per t row; ``threads`` is accepted for callers
+    that pass it and changes nothing.
     """
     xs = [float(x) for x in xs]
     ts = [float(t) for t in ts]
@@ -79,9 +81,25 @@ def evaluate_grid(cfg: SpectralConfig, orbit: OrbitTable, xs, ts,
         us = [q * phase for q in qs]  # not finite whenever q is not
         q_values.append(qs)
         u_values.append(us)
-        flags.append([flag if cmath.isfinite(u) else "singular"
-                      for (_, flag, _), u in zip(row, us)])
+        flags.append([flag if math.isfinite(a) else "singular"
+                      for (_, flag, _), a in zip(row, abs_row(us))])
     return FieldGrid(xs, ts, q_values, u_values, flags, config_digest(cfg))
+
+
+def abs_row(values) -> list:
+    """abs(v) of each complex v (math.hypot can differ in the last ulp), and
+    inf where both parts are finite but abs raises because |v| overflows."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return [_abs_or_inf(v) for v in values]
+
+
+def _abs_or_inf(v: complex) -> float:
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
 
 
 def linspace(a: float, b: float, n: int):

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import preset_dir, preset_names  # noqa: F401
 from .errors import (ConfigParseError, ConfigValidationError, Diagnostic, NumberError,
                      finite_number)
-from .fields import FieldGrid
+from .fields import FieldGrid, abs_row
 from .spectrum import EigenEntry, PoleOrder, SpectralConfig
 from .verification import EvolutionSetup
 
@@ -29,7 +29,7 @@ CSV_HEADER = "x,t,re_u,im_u,abs_u,re_q,im_q,flag"
 
 #: The keys a config may hold; ``note`` is free text for the reader.
 CONFIG_KEYS = ("schema", "name", "note", "pole_order", "q_minus", "epsilon", "gamma0",
-               "eigenvalues", "grid", "uncertain", "verification")
+               "eigenvalues", "grid", "verification")
 GRID_KEYS = ("x_min", "x_max", "nx", "t_min", "t_max", "nt")
 
 
@@ -42,7 +42,6 @@ class RunConfig:
     grid: dict
     name: str = ""
     evolution: EvolutionSetup | None = EvolutionSetup()
-    uncertain: bool = False
 
 
 def _as_complex(value, where: str) -> complex:
@@ -201,17 +200,8 @@ def load_config(path) -> RunConfig:
         raise ConfigValidationError([Diagnostic(
             "BadName", "name must be a plain file name without control "
             f"characters, got {name!r}")])
-    uncertain = raw.get("uncertain", False)
-    if not isinstance(uncertain, bool):
-        raise ConfigValidationError([Diagnostic(
-            "BadFlag", f"uncertain must be true or false, got {uncertain!r}")])
-    return RunConfig(
-        cfg=cfg,
-        grid=grid,
-        name=name,
-        evolution=_read_plan(raw.get("verification", {})),
-        uncertain=uncertain,
-    )
+    return RunConfig(cfg=cfg, grid=grid, name=name,
+                     evolution=_read_plan(raw.get("verification", {})))
 
 
 def _fmt(v: float) -> str:
@@ -227,9 +217,9 @@ def write_grid_csv(grid: FieldGrid, path):
         for t, us, qs, flags in zip(grid.ts, grid.u_values, grid.q_values, grid.flags):
             t = _fmt(t)
             f.write("".join(
-                f"{x},{t},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))},"
+                f"{x},{t},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(a)},"
                 f"{_fmt(q.real)},{_fmt(q.imag)},{flag}\n"
-                for x, u, q, flag in zip(xs, us, qs, flags)))
+                for x, u, a, q, flag in zip(xs, us, abs_row(us), qs, flags)))
 
 
 def write_grid_json(grid: FieldGrid, path):
@@ -254,7 +244,7 @@ def write_grid_json(grid: FieldGrid, path):
 def render_pgm(grid: FieldGrid, path):
     """Binary 8-bit NetPBM heatmap of |u|; top row is t_max."""
     # one double per point, from abs(complex): numpy.abs can differ in the last ulp
-    rows = [array("d", map(abs, row)) for row in grid.u_values]
+    rows = [array("d", abs_row(row)) for row in grid.u_values]
     lo, hi = (extreme(filter(math.isfinite, chain.from_iterable(rows)), default=0.0)
               for extreme in (min, max))
     nx, nt = len(grid.xs), len(grid.ts)
@@ -264,7 +254,8 @@ def render_pgm(grid: FieldGrid, path):
             if hi == lo or not math.isfinite(v):
                 pix = 128
             else:
-                pix = round(255 * (v - lo) / (hi - lo))
+                # the quotient first: 255 * (v - lo) overflows near double range
+                pix = round(255 * ((v - lo) / (hi - lo)))
             out.append(pix)
     Path(path).write_bytes(out)
 

@@ -338,20 +338,11 @@ def boundary_window(orbit) -> float:
 
 def verify(cfg: SpectralConfig,
            evolution: EvolutionSetup | None = EvolutionSetup()) -> VerificationReport:
-    """Run the full independent-check battery and report; ``evolution`` None
-    skips the split-step check.  The sign convention is the one the residual
-    probe picks, ``DEFAULT_SIGN_CONVENTION`` when there are no eigenvalues."""
+    """Run the full independent-check battery on the field ``construct``
+    writes, sign convention ``DEFAULT_SIGN_CONVENTION``, and report;
+    ``evolution`` None skips the split-step check."""
     warnings_list = []
-
     convention = DEFAULT_SIGN_CONVENTION
-    if cfg.N > 0:
-        probes = probe_convention(cfg)
-        convention = min(probes, key=probes.get)
-        if probes[convention] > 1e-3:
-            warnings_list.append(
-                f"no sign convention yields a small residual (best {convention}: "
-                f"{probes[convention]:.3e})"
-            )
 
     n = RESIDUAL_N
     residual_max = residual_sweep(cfg, RESIDUAL_WINDOW, n=n, convention=convention)

@@ -1,0 +1,68 @@
+"""Compare ``kundunls check`` on every bundled preset with the pinned table.
+
+The table, ``verdicts.json`` next to this script, holds each preset's exit
+code and the gates its report fails (``residual``, ``boundary``, ``theta``,
+``evolution``), or, for a config that is rejected, the code of its first
+diagnostic.  A verdict can then change only in a diff of that table.
+
+    python tests/check_verdicts.py
+
+runs ``python -m kundunls.cli check`` on each preset in turn (about three
+minutes on two CPUs), prints the observed table and exits 1 on any
+difference from the pinned one.  It is a CI job of its own, not part of
+the Tier-1 tests.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TABLE = Path(__file__).with_name("verdicts.json")
+
+
+def failing_gates(report: dict) -> list:
+    gates = report["gates"]
+    failing = []
+    if not report["residual_max"] < gates["residual"]:
+        failing.append("residual")
+    if not all(e < gates["boundary"] for e in report["boundary_errors"]):
+        failing.append("boundary")
+    if not report["theta_ok"]:
+        failing.append("theta")
+    error = report["evolution_linf_error"]
+    if error is not None and not error < gates["evolution"]:
+        failing.append("evolution")
+    return failing
+
+
+def verdict(name: str) -> dict:
+    run = subprocess.run([sys.executable, "-m", "kundunls.cli", "check", name],
+                         capture_output=True, text=True)
+    if run.stdout.strip():
+        return {"exit": run.returncode, "failing": failing_gates(json.loads(run.stdout))}
+    code = re.search(r"^\s+(\w+): ", run.stderr, re.MULTILINE)
+    return {"exit": run.returncode, "error": code.group(1) if code else run.stderr}
+
+
+def main() -> int:
+    names = subprocess.run([sys.executable, "-m", "kundunls.cli", "presets"],
+                           capture_output=True, text=True, check=True).stdout.split()
+    observed = {}
+    for name in names:
+        observed[name] = verdict(name)
+        print(name, json.dumps(observed[name]), flush=True)
+    pinned = json.loads(TABLE.read_text(encoding="utf-8"))
+    if observed == pinned:
+        return 0
+    for name in sorted(set(observed) | set(pinned)):
+        if observed.get(name) != pinned.get(name):
+            print(f"{name}: pinned {pinned.get(name)}, observed {observed.get(name)}",
+                  file=sys.stderr)
+    print(json.dumps(observed, indent=2), file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -413,6 +413,50 @@ def test_cli_construct_reports_flags_by_kind(tmp_path):
             in result.output)
 
 
+@pytest.mark.parametrize("epsilon, nx, nt, n_inf", [(1e-307, 5, 3, 0),
+                                                    (5.9e-309, 41, 21, 143)],
+                         ids=["pgm-range-overflow", "modulus-overflow"])
+def test_construct_near_double_range_flags_infinite_modulus(tmp_path, epsilon, nx, nt,
+                                                            n_inf):
+    """A |u| range near double range scales into the PGM without overflow,
+    and a finite u whose |u| overflows writes abs_u inf, flagged singular,
+    with pixel 128."""
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw["grid"].update(nx=nx, nt=nt)
+    cfg = tmp_path / "tiny-epsilon.json"
+    cfg.write_text(json.dumps(dict(raw, epsilon=epsilon)))
+    result = CliRunner().invoke(main, ["construct", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    rows = [line.split(",") for line in
+            (tmp_path / "fig2a.csv").read_text().splitlines()[1:]]
+    pixels = (tmp_path / "fig2a.pgm").read_bytes()[-nx * nt:]
+    infinite = [k for k, row in enumerate(rows) if row[4] == "inf"]
+    assert len(infinite) == n_inf
+    for k in infinite:
+        t_index, x_index = divmod(k, nx)
+        assert rows[k][7] == "singular"
+        assert pixels[(nt - 1 - t_index) * nx + x_index] == 128
+    # the points where abs(u) raises, though both parts of u are finite
+    assert (n_inf == 0) != any(math.isfinite(float(rows[k][2]))
+                               and math.isfinite(float(rows[k][3])) for k in infinite)
+
+
+def test_check_verdict_is_the_gates_alone():
+    """fig3a's eigenvalue lies 7e-7 off |z| = Q0, so its tail decays at
+    2 Im lambda of about 1.4e-6: the boundary gate fails at any window, and
+    that failure alone is the verdict."""
+    result = CliRunner().invoke(main, ["check", "fig3a"])
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert report["passed"] is False
+    assert report["residual_max"] < report["gates"]["residual"]
+    assert report["theta_ok"]
+    assert all(e > report["gates"]["boundary"] for e in report["boundary_errors"])
+    assert report["evolution_linf_error"] is None
+    assert "PeriodicIncompatible" in report["evolution_reason"]
+
+
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("NZBC_THREADS", "2")
     r1 = CliRunner().invoke(main, ["construct", "fig3c", "--out",
@@ -488,7 +532,7 @@ def _edited(raw, path, value):
     (("verification",), {"window": [-5, 5, -3, 3]}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": 0.5}}, "BadPlan"),
     (("verification",), {"evolution": {"t0": 0.5, "t1": -0.5}}, "BadPlan"),
-    (("uncertain",), "no", "BadFlag"),
+    (("uncertain",), True, "UnknownKey"),
     (("gama0",), 1.2, "UnknownKey"),
     (("verificaton",), {"evolution": False}, "UnknownKey"),
     (("grid", "ny"), 5, "UnknownKey"),
@@ -515,7 +559,7 @@ def _edited(raw, path, value):
         "overflowing-Q0-squared", "underflowing-mirror-point",
         "top-level-list", "bool-schema", "plan-unknown-evolution-key",
         "plan-window", "plan-empty-evolution-span",
-        "plan-backward-evolution-span", "string-uncertain", "misspelt-top-level-key",
+        "plan-backward-evolution-span", "uncertain", "misspelt-top-level-key",
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
         "plan-boundary_L", "plan-gates", "plan-h", "plan-residual_n",
         "plan-null-evolution", "plan-M-2**62", "plan-M-2**63", "plan-under-half-a-step",
@@ -626,7 +670,7 @@ def _singular_row(orbit, xs, t):
 
 
 def _failing_mp_point(orbit, x, t, ctx=_mathctx.FLOAT, **kwargs):
-    """Fails in the dps-40 sweep only, so the float convention probe passes."""
+    """Fails in the dps-40 sweep only; float evaluations pass through."""
     if ctx is not _mathctx.FLOAT:
         raise ZeroDivisionError("stand-in failure")
     return _EVALUATE_Q(orbit, x, t, ctx=ctx, **kwargs)
@@ -636,7 +680,6 @@ _EVALUATE_Q = simple_pole.evaluate_q
 
 
 @pytest.mark.parametrize("command, name, stand_in, message", [
-    # the sweep's first node, not the probe's stencil at x=0.3
     ("check", "evaluate_q", _failing_mp_point, "stencil around (x=-5.0, t=-3.0,"),
     ("check", "sample_row", _singular_row, "singular points in the exact slice"),
     ("evolve", "sample_row", _singular_row, "singular points in the exact slice"),
@@ -716,7 +759,7 @@ def _key_paths(obj, prefix=()):
 
 SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
 SMALL_FIG2A["grid"].update(nx=5, nt=3)
-SMALL_FIG2A.update(uncertain=False, verification={"evolution": {"M": 256, "dt": 0.01}})
+SMALL_FIG2A.update(verification={"evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)
@@ -734,8 +777,7 @@ EDITS = st.lists(
 @given(EDITS)
 def test_mutated_config_never_escapes_as_traceback(tmp_path, edits):
     """Up to three edits at random key paths of a 5x3 fig2a with a
-    verification plan and an uncertain flag; integers stay <= 5, so grids do
-    too."""
+    verification plan; integers stay <= 5, so grids do too."""
     raw = json.loads(json.dumps(SMALL_FIG2A))
     for path, value in edits:
         try:

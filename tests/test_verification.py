@@ -42,6 +42,19 @@ def test_probe_selects_adjudicated_convention(fig2a, fig7a):
         assert min(probes, key=probes.get) == "a"
 
 
+def test_verify_judges_convention_a_without_a_probe(monkeypatch, fig2a):
+    """The verdict is on the field construct writes, not on whichever
+    convention a residual probe favours."""
+    def refuse(cfg):
+        raise AssertionError("verify probed the sign convention")
+
+    monkeypatch.setattr(verification, "probe_convention", refuse)
+    monkeypatch.setattr(verification, "RESIDUAL_N", 3)
+    report = verify(fig2a, evolution=None)
+    assert report.convention_sign == "a"
+    assert report.passed
+
+
 def test_stencil_failure_wrapped(fig2a):
     def broken(x, t):
         raise ZeroDivisionError("boom")
@@ -431,7 +444,7 @@ def test_verify_background_config(background_only):
     report = verify(background_only, evolution=None)
     assert report.residual_grid_spec == (
         "21x21 grid on x in [-5.0, 5.0], t in [-3.0, 3.0], h=0.001")
-    assert report.convention_sign == "a"  # no eigenvalues to probe
+    assert report.convention_sign == "a"
     assert report.residual_max == 0
     assert report.passed
     assert report.evolution_reason == "disabled by plan"
@@ -460,7 +473,7 @@ def test_report_serializes(background_only):
     report = verify(background_only, evolution=None)
     d = report.to_dict()
     assert d["passed"] is True
-    assert d["convention_sign"] in ("a", "b")
+    assert d["convention_sign"] == "a"
     assert isinstance(d["boundary_errors"], list)
     assert list(d) == ["residual_max", "residual_grid_spec", "boundary_errors",
                        "theta_ok", "convention_sign", "evolution_linf_error",
