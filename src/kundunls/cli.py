@@ -123,10 +123,11 @@ def evolve(config):
     from dataclasses import asdict
 
     from . import io, verification
+    from .spectrum import derive_orbit
 
     run = io.load_config(config)
     setup = run.evolution or verification.EvolutionSetup()
-    err, reason = verification.evolution_step(run.cfg, setup)
+    err, reason = verification.evolution_step(derive_orbit(run.cfg), setup)
     payload = {"config": run.name, "setup": asdict(setup)}
     if reason is None:
         payload["linf_error"] = err

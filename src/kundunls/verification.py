@@ -17,8 +17,7 @@ from . import _mathctx, scattering
 from .errors import (PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure,
                      finite_number)
 from .fields import POLE_MODULES
-from .spectrum import (DEFAULT_SIGN_CONVENTION, SIGN_CONVENTIONS, SpectralConfig,
-                       derive_orbit)
+from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
 from .uniformization import lambda_of_z
 
 RESIDUAL_DPS = 40
@@ -74,7 +73,7 @@ class EvolutionSetup:
 
 @dataclass
 class VerificationReport:
-    """The outcome of each check; ``passed`` judges it by ``DEFAULT_GATES``."""
+    """The outcome of each check; ``failed_gates`` judges it by ``DEFAULT_GATES``."""
 
     residual_max: float
     residual_grid_spec: str
@@ -86,18 +85,23 @@ class VerificationReport:
     warnings: list
 
     @property
+    def failed_gates(self) -> list:
+        """The failed gates, in the order residual, boundary, theta, evolution;
+        a skipped evolution check fails none, and a NaN fails its gate."""
+        gates, evolution = DEFAULT_GATES, self.evolution_linf_error
+        failed = {"residual": not self.residual_max < gates["residual"],
+                  "boundary": not all(e < gates["boundary"] for e in self.boundary_errors),
+                  "theta": not self.theta_ok,
+                  "evolution": evolution is not None and not evolution < gates["evolution"]}
+        return [name for name, fails in failed.items() if fails]
+
+    @property
     def passed(self) -> bool:
-        checks = [
-            self.residual_max < DEFAULT_GATES["residual"],
-            all(e < DEFAULT_GATES["boundary"] for e in self.boundary_errors),
-            self.theta_ok,
-        ]
-        if self.evolution_linf_error is not None:
-            checks.append(self.evolution_linf_error < DEFAULT_GATES["evolution"])
-        return all(checks)
+        return not self.failed_gates
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "gates": dict(DEFAULT_GATES), "passed": self.passed}
+        return {**asdict(self), "gates": dict(DEFAULT_GATES),
+                "failed_gates": self.failed_gates, "passed": self.passed}
 
 
 def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
@@ -270,15 +274,13 @@ def probe_convention(cfg: SpectralConfig) -> dict:
     return out
 
 
-def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
-                          convention: str = "auto") -> float:
+def evolution_cross_check(orbit, setup: EvolutionSetup) -> float:
     """L-inf mismatch between split-step evolution and the exact formula."""
     import numpy as np
 
-    orbit = derive_orbit(cfg, convention)
-    if abs(orbit.q_plus - cfg.q_minus) > PERIODIC_GATE:
+    if abs(orbit.q_plus - orbit.q_minus) > PERIODIC_GATE:
         raise PeriodicIncompatible(
-            f"|q_plus - q_minus| = {abs(orbit.q_plus - cfg.q_minus):.3e} "
+            f"|q_plus - q_minus| = {abs(orbit.q_plus - orbit.q_minus):.3e} "
             "breaks the periodic window"
         )
     xs = -setup.L + 2 * setup.L * np.arange(setup.M) / setup.M
@@ -287,7 +289,7 @@ def evolution_cross_check(cfg: SpectralConfig, setup: EvolutionSetup,
     wrap = abs(q0[-1] - q0[0])
     if wrap > PERIODIC_GATE:
         raise PeriodicIncompatible(f"window mismatch {wrap:.3e} at t0")
-    q_final = split_step_evolve(q0[:-1], setup, cfg.Q0)
+    q_final = split_step_evolve(q0[:-1], setup, orbit.Q0)
     q_exact = exact_slice(orbit, xs, setup.t1)
     return float(np.max(np.abs(q_final - q_exact)))
 
@@ -305,15 +307,14 @@ def exact_slice(orbit, xs, t: float):
     return np.array([q for q, _, _ in row])
 
 
-def evolution_step(cfg: SpectralConfig, setup: EvolutionSetup | None,
-                   convention: str = "auto"):
+def evolution_step(orbit, setup: EvolutionSetup | None):
     """(error, None) of ``evolution_cross_check``, or (None, reason) when the
     check does not apply: ``setup`` is None, or the field does not fit a
     periodic window."""
     if setup is None:
         return None, "disabled by plan"
     try:
-        return evolution_cross_check(cfg, setup, convention), None
+        return evolution_cross_check(orbit, setup), None
     except PeriodicIncompatible as exc:
         return None, f"PeriodicIncompatible: {exc}"
 
@@ -339,31 +340,29 @@ def boundary_window(orbit) -> float:
 def verify(cfg: SpectralConfig,
            evolution: EvolutionSetup | None = EvolutionSetup()) -> VerificationReport:
     """Run the full independent-check battery on the field ``construct``
-    writes, sign convention ``DEFAULT_SIGN_CONVENTION``, and report;
-    ``evolution`` None skips the split-step check."""
+    writes and report; ``evolution`` None skips the split-step check."""
     warnings_list = []
-    convention = DEFAULT_SIGN_CONVENTION
 
     n = RESIDUAL_N
-    residual_max = residual_sweep(cfg, RESIDUAL_WINDOW, n=n, convention=convention)
+    residual_max = residual_sweep(cfg, RESIDUAL_WINDOW, n=n)
     x_min, x_max, t_min, t_max = RESIDUAL_WINDOW
     grid_spec = (f"{n}x{n} grid on x in [{x_min}, {x_max}], "
                  f"t in [{t_min}, {t_max}], h={RESIDUAL_H}")
 
-    orbit = derive_orbit(cfg, convention)
-    b_errs = boundary_errors(cfg, convention, L=boundary_window(orbit))
+    orbit = derive_orbit(cfg)
+    b_errs = boundary_errors(cfg, orbit.sign_convention, L=boundary_window(orbit))
 
     theta_diag = scattering.check_theta_condition(orbit)
     if not theta_diag.ok:
         warnings_list.append(theta_diag.message)
 
-    evo_err, evo_reason = evolution_step(cfg, evolution, convention)
+    evo_err, evo_reason = evolution_step(orbit, evolution)
     return VerificationReport(
         residual_max=residual_max,
         residual_grid_spec=grid_spec,
         boundary_errors=list(b_errs),
         theta_ok=theta_diag.ok,
-        convention_sign=convention,
+        convention_sign=orbit.sign_convention,
         evolution_linf_error=evo_err,
         evolution_reason=evo_reason,
         warnings=warnings_list,

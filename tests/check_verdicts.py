@@ -1,9 +1,10 @@
 """Compare ``kundunls check`` on every bundled preset with the pinned table.
 
 The table, ``verdicts.json`` next to this script, holds each preset's exit
-code and the gates its report fails (``residual``, ``boundary``, ``theta``,
-``evolution``), or, for a config that is rejected, the code of its first
-diagnostic.  A verdict can then change only in a diff of that table.
+code and the gates its report names in ``failed_gates`` (``residual``,
+``boundary``, ``theta``, ``evolution``), or, for a config that is rejected,
+the code of its first diagnostic.  A verdict can then change only in a diff
+of that table.
 
     python tests/check_verdicts.py
 
@@ -22,26 +23,11 @@ from pathlib import Path
 TABLE = Path(__file__).with_name("verdicts.json")
 
 
-def failing_gates(report: dict) -> list:
-    gates = report["gates"]
-    failing = []
-    if not report["residual_max"] < gates["residual"]:
-        failing.append("residual")
-    if not all(e < gates["boundary"] for e in report["boundary_errors"]):
-        failing.append("boundary")
-    if not report["theta_ok"]:
-        failing.append("theta")
-    error = report["evolution_linf_error"]
-    if error is not None and not error < gates["evolution"]:
-        failing.append("evolution")
-    return failing
-
-
 def verdict(name: str) -> dict:
     run = subprocess.run([sys.executable, "-m", "kundunls.cli", "check", name],
                          capture_output=True, text=True)
     if run.stdout.strip():
-        return {"exit": run.returncode, "failing": failing_gates(json.loads(run.stdout))}
+        return {"exit": run.returncode, "failing": json.loads(run.stdout)["failed_gates"]}
     code = re.search(r"^\s+(\w+): ", run.stderr, re.MULTILINE)
     return {"exit": run.returncode, "error": code.group(1) if code else run.stderr}
 

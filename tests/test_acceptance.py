@@ -53,12 +53,12 @@ def test_criterion_02_residual_gate_double_poles(fig7a):
 
 def test_criterion_03_evolution_cross_check(fig2a):
     """Split-step evolution of the exact t0 slice lands on the exact t1 slice."""
-    err = evolution_cross_check(fig2a, EvolutionSetup(L=40.0, M=4096, dt=1e-4,
-                                                      t0=-2.0, t1=2.0), "a")
+    orbit = derive_orbit(fig2a)
+    err = evolution_cross_check(orbit, EvolutionSetup(L=40.0, M=4096, dt=1e-4,
+                                                      t0=-2.0, t1=2.0))
     assert err < 1e-5
-    err_half = evolution_cross_check(fig2a, EvolutionSetup(L=40.0, M=4096,
-                                                           dt=5e-5, t0=-2.0,
-                                                           t1=2.0), "a")
+    err_half = evolution_cross_check(orbit, EvolutionSetup(L=40.0, M=4096,
+                                                           dt=5e-5, t0=-2.0, t1=2.0))
     assert err / err_half == pytest.approx(4, rel=0.25)
 
 
@@ -78,7 +78,7 @@ def test_criterion_05_trace_identities(fig2a, fig7a):
     """Trace products are reciprocal and their zeros have the right order."""
     rng = random.Random(55555)
     for cfg, order in ((fig2a, 1.0), (fig7a, 2.0)):
-        orbit = derive_orbit(cfg, "a")
+        orbit = derive_orbit(cfg)
         checked = 0
         while checked < 100:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -97,10 +97,10 @@ def test_criterion_06_symmetry_suite(fig4a):
             run = io.load_config(name)
         except Exception:
             continue  # fig5c is degenerate by design
-        orbit = derive_orbit(run.cfg, "a")
+        orbit = derive_orbit(run.cfg)
         for diag in check_symmetries(orbit):
             assert diag.ok and (diag.value or 0.0) <= 1e-12, (name, diag)
-    orbit = derive_orbit(fig4a, "a")
+    orbit = derive_orbit(fig4a)
     tampered = list(orbit.A_minus_xihat)
     tampered[1] *= 1 + 1e-6
     bad = dataclasses.replace(orbit, A_minus_xihat=tuple(tampered))
@@ -115,7 +115,7 @@ def test_criterion_07_form_equivalence():
             run = io.load_config(name)
         except Exception:
             continue
-        orbit = derive_orbit(run.cfg, "a")
+        orbit = derive_orbit(run.cfg)
         if run.cfg.pole_order is PoleOrder.SIMPLE:
             solve, detform, tol = (simple_pole.evaluate_q,
                                    simple_pole.evaluate_q_det, 1e-9)

@@ -16,7 +16,7 @@ FIG7A_Q00 = 0.30864303513483424 + 0.5963640002707344j  # frozen golden value
 
 
 def test_system_dimensions_and_origin_simplification(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     rows, _, r = build(orbit, 0.0, 0.0, _mathctx.FLOAT)
     assert [len(row) for row in rows] == [4] * 4
     # theta(0,0,.) = 0: the weights reduce to the bare norming constants
@@ -25,7 +25,7 @@ def test_system_dimensions_and_origin_simplification(fig7a):
 
 
 def test_assembled_entries_match_direct_formulas(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     rows, _, _ = build(orbit, 1.0, 0.5, _mathctx.FLOAT)
     # columns j and 2 + j are scaled by 1 / max(|w_j|, 1)
     with mpmath.workdps(40):
@@ -54,7 +54,7 @@ def test_assembled_entries_match_direct_formulas(fig7a):
 
 
 def test_golden_value_at_origin(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     q = evaluate_q(orbit, 0.0, 0.0)
     assert abs(q - FIG7A_Q00) < 1e-12
     ref = complex(oracles.double_q(1, [1.5j], [1], [1], 0.0, 0.0))
@@ -63,7 +63,7 @@ def test_golden_value_at_origin(fig7a):
 
 def test_matches_oracle_at_random_points(fig7a):
     rng = random.Random(1234)
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     for _ in range(25):
         x, t = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5)
         got = evaluate_q(orbit, x, t, check_condition=False)
@@ -73,7 +73,7 @@ def test_matches_oracle_at_random_points(fig7a):
 
 def test_determinant_form_agrees_with_linear_form(fig7a):
     rng = random.Random(4321)
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     for _ in range(50):
         x, t = rng.uniform(-6, 6), rng.uniform(-3, 3)
         qs = evaluate_q(orbit, x, t, check_condition=False)
@@ -82,7 +82,7 @@ def test_determinant_form_agrees_with_linear_form(fig7a):
 
 
 def test_solve_system_unknowns_reproduce_field(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     rows, rhs, r = build(orbit, 0.4, -0.2, _mathctx.FLOAT)
     y = lu_factor(rows).solve(rhs)
     # r = (w D_hat, w), so r^T y = sum_n w_n (mu'_n + D_hat_n mu_n)
@@ -93,7 +93,7 @@ def test_solve_system_unknowns_reproduce_field(fig7a):
 def test_background_recovery():
     cfg = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.DOUBLE,
                          (EigenEntry(1.5j, 1e-30 + 0j, 0j),))
-    orbit = derive_orbit(cfg, "a")
+    orbit = derive_orbit(cfg)
     for x in (-2.0, 0.0, 3.0):
         assert abs(evaluate_q(orbit, x, 0.2) - 1) < 1e-12
 
@@ -108,7 +108,7 @@ def test_pole_merging_limit_has_finite_order():
         cfg = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
                              (EigenEntry(z1, A + 0j),
                               EigenEntry(z1 * (1 + d), -A + 0j)))
-        orbit = derive_orbit(cfg, "a")
+        orbit = derive_orbit(cfg)
         vals.append(simple_evaluate_q(orbit, 0.0, 0.0, check_condition=False))
     d12 = abs(vals[0] - vals[1])
     d23 = abs(vals[1] - vals[2])
@@ -119,7 +119,7 @@ def test_pole_merging_limit_has_finite_order():
 
 
 def test_far_field_phases(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     qp = evaluate_q(orbit, 30.0, 0.0, check_condition=False)
     qm = evaluate_q(orbit, -30.0, 0.0, check_condition=False)
     # 8 arg(1.5i) = 4 pi: both tails sit on the same background value
@@ -127,7 +127,7 @@ def test_far_field_phases(fig7a):
 
 
 def test_gauge_scaling_and_grid(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     u = evaluate_grid(fig7a, orbit, [0.2], [0.1]).u_values[0][0]
     q = evaluate_q(orbit, 0.2, 0.1)
     assert abs(u - q / 0.5) < 1e-13

@@ -87,7 +87,7 @@ def test_csv_single_background_row(tmp_path):
 
 
 def test_json_round_trip_bit_identical(tmp_path, fig2a):
-    orbit = derive_orbit(fig2a, "a")
+    orbit = derive_orbit(fig2a)
     grid = evaluate_grid(fig2a, orbit, linspace(-2, 2, 7), linspace(-1, 1, 5))
     path = tmp_path / "grid.json"
     io.write_grid_json(grid, path)
@@ -268,7 +268,7 @@ def test_config_is_read_from_a_pipe():
 
 @pytest.mark.parametrize("command", ["construct", "check", "evolve", "audit"])
 def test_sign_convention_option_is_gone(command):
-    """construct, evolve and audit use convention "a"; check picks it by probe."""
+    """Every command uses sign convention "a" and has no option to change it."""
     result = CliRunner().invoke(main, [command, "fig2a", "--sign-convention", "a"])
     assert result.exit_code == 2
     assert "No such option" in result.output and "--sign-convention" in result.output
@@ -450,6 +450,7 @@ def test_check_verdict_is_the_gates_alone():
     assert result.exit_code == 1
     report = json.loads(result.output)
     assert report["passed"] is False
+    assert report["failed_gates"] == ["boundary"]
     assert report["residual_max"] < report["gates"]["residual"]
     assert report["theta_ok"]
     assert all(e > report["gates"]["boundary"] for e in report["boundary_errors"])

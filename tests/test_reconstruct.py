@@ -33,7 +33,7 @@ def test_point_sample_factorizes_once_per_point(monkeypatch, fig2a, fig4a, fig7a
     xs = [-2.5, 0.0, 1.3, 4.0, 7.5]
     for cfg, module, n in ((fig2a, simple_pole, 2), (fig4a, simple_pole, 4),
                            (fig7a, double_pole, 4)):
-        orbit = derive_orbit(cfg, "a")
+        orbit = derive_orbit(cfg)
         shapes.clear()
         for x, t in points:
             assert module.point_sample(orbit, x, t)[1] == "ok"
@@ -66,7 +66,7 @@ def test_sample_row_matches_generic_lu(name):
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
     ts = fields.linspace(g["t_min"], g["t_max"], g["nt"])
-    orbit = derive_orbit(run.cfg, "auto")
+    orbit = derive_orbit(run.cfg)
     module = fields.POLE_MODULES[run.cfg.pole_order]
     rng = random.Random(20261018)
     tolerance = {"ok": 1e-12, "near_singular": 1e-7}
@@ -87,7 +87,7 @@ def test_sample_row_flags_unrepresentable_systems_singular(order, z):
     """A weight or pole out of double range flags every point singular, as
     the generic LU route does, whether the row is one batch or single points."""
     cfg = SpectralConfig(1 + 0j, 0.5, 0.0, order, (EigenEntry(z, 1 + 0j, 1 + 0j),))
-    orbit = derive_orbit(cfg, "a")
+    orbit = derive_orbit(cfg)
     module = fields.POLE_MODULES[order]
     xs = [-1.0, 0.0, 1.0]
     with warnings.catch_warnings():
@@ -103,7 +103,7 @@ def test_sample_row_flags_unrepresentable_systems_singular(order, z):
 def test_grid_flags_tiny_epsilon_singular_for_both_orders(fig2a, fig7a):
     for base in (fig2a, fig7a):
         tiny = SpectralConfig(base.q_minus, 1e-320, 0.0, base.pole_order, base.eigenvalues)
-        grid = fields.evaluate_grid(tiny, derive_orbit(tiny, "a"), [-1.0, 0.0, 1.0],
+        grid = fields.evaluate_grid(tiny, derive_orbit(tiny), [-1.0, 0.0, 1.0],
                                     [-0.5, 0.5])
         assert grid.flags == [["singular"] * 3] * 2
 
@@ -113,7 +113,7 @@ def test_sample_row_is_bit_identical_to_single_points(name):
     run = io.load_config(name)
     g = run.grid
     xs = fields.linspace(g["x_min"], g["x_max"], g["nx"])
-    orbit = derive_orbit(run.cfg, "auto")
+    orbit = derive_orbit(run.cfg)
     module = fields.POLE_MODULES[run.cfg.pole_order]
     for t in (g["t_min"], 0.37, g["t_max"]):
         row = module.sample_row(orbit, xs, t)
@@ -123,6 +123,6 @@ def test_sample_row_is_bit_identical_to_single_points(name):
 def test_grid_rows_share_one_numpy_context(fig2a):
     """Every t row runs in the one numpy context, so the orbit keeps one entry
     of prepared constants, not one per row."""
-    orbit = derive_orbit(fig2a, "a")
+    orbit = derive_orbit(fig2a)
     fields.evaluate_grid(fig2a, orbit, fields.linspace(-2, 2, 5), fields.linspace(-1, 1, 4))
     assert [ctx for _, ctx in orbit.prepared] == [_mathctx.numpy_context()]

@@ -41,20 +41,20 @@ def test_contour_eigenvalue_rejected():
 
 
 def test_orbit_shape_and_mirrors(fig4a):
-    orbit = derive_orbit(fig4a, "a")
+    orbit = derive_orbit(fig4a)
     assert len(orbit.xi) == 4 and len(orbit.xi_hat) == 4
     for s, h in zip(orbit.xi, orbit.xi_hat):
         assert abs(h + orbit.Q0 ** 2 / s) < 1e-14
 
 
 def test_q_plus_modulus_preserved(fig4a):
-    qp = derive_orbit(fig4a, "a").q_plus
+    qp = derive_orbit(fig4a).q_plus
     assert abs(abs(qp) - abs(fig4a.q_minus)) < 1e-14
 
 
 def test_q_plus_trivial_phase_for_imaginary_eigenvalue(fig2a):
     # arg z = pi/2, four times that is 2 pi: the boundary values coincide
-    qp = derive_orbit(fig2a, "a").q_plus
+    qp = derive_orbit(fig2a).q_plus
     assert abs(qp - fig2a.q_minus) < 1e-12
 
 
@@ -119,7 +119,7 @@ def test_convention_resolution():
 
 
 def test_double_orbit_carries_derivative_constants(fig7a):
-    orbit = derive_orbit(fig7a, "a")
+    orbit = derive_orbit(fig7a)
     assert len(orbit.A_minus_xihat) == 2 and len(orbit.B_minus_xihat) == 2
     z = 1.5j
     bshift = (z * z / 1.0) * ((1 + 0j) - 2 / z)
@@ -128,12 +128,12 @@ def test_double_orbit_carries_derivative_constants(fig7a):
 
 
 def test_simple_orbit_has_no_derivative_constants(fig2a):
-    orbit = derive_orbit(fig2a, "a")
+    orbit = derive_orbit(fig2a)
     assert len(orbit.A_minus_xihat) == 2 and orbit.B_minus_xihat == ()
 
 
 def test_eigenvalue_canonicalized_inside_orbit_table():
     cfg = SpectralConfig(1 + 0j, 0.5, 0.0, PoleOrder.SIMPLE,
                          (EigenEntry(-1.5j, 1 + 0j),))  # lower half-plane input
-    orbit = derive_orbit(cfg, "a")
+    orbit = derive_orbit(cfg)
     assert orbit.canonical_z == (1.5j,)

@@ -297,7 +297,7 @@ def _unfused_strang(q, setup, Q0):
 
 def _fig2a_slice(setup):
     xs = -setup.L + 2 * setup.L * np.arange(setup.M) / setup.M
-    return exact_slice(derive_orbit(io.load_config("fig2a").cfg, "a"), xs, setup.t0)
+    return exact_slice(derive_orbit(io.load_config("fig2a").cfg), xs, setup.t0)
 
 
 def _random_periodic_field(M):
@@ -411,7 +411,7 @@ def test_mass_conservation(fig2a):
 def test_evolution_incompatible_when_boundaries_differ(fig4a):
     # arg(q_plus/q_minus) is not a multiple of 2 pi here
     with pytest.raises(PeriodicIncompatible):
-        evolution_cross_check(fig4a, EvolutionSetup(M=256, dt=1e-2), "a")
+        evolution_cross_check(derive_orbit(fig4a), EvolutionSetup(M=256, dt=1e-2))
 
 
 def test_boundary_flatness_decays_with_window(fig2a):
@@ -424,9 +424,9 @@ def test_boundary_flatness_decays_with_window(fig2a):
 def test_boundary_window_follows_slowest_tail(monkeypatch, fig2a, fig4a):
     # 2 Im lambda(z) is 5/6 for fig2a and 1/2 for fig4a's z = 1 + i, so 20
     # e-folds need L = 24 (raised to 30) and L = 40; fig3a barely decays
-    assert boundary_window(derive_orbit(fig2a, "a")) == 30.0
-    assert boundary_window(derive_orbit(fig4a, "a")) == pytest.approx(40.0)
-    assert boundary_window(derive_orbit(io.load_config("fig3a").cfg, "a")) == 250.0
+    assert boundary_window(derive_orbit(fig2a)) == 30.0
+    assert boundary_window(derive_orbit(fig4a)) == pytest.approx(40.0)
+    assert boundary_window(derive_orbit(io.load_config("fig3a").cfg)) == 250.0
     monkeypatch.setattr(verification, "RESIDUAL_N", 3)
     report = verify(fig4a, evolution=None)
     assert max(report.boundary_errors) < 1e-6 and report.passed
@@ -477,4 +477,5 @@ def test_report_serializes(background_only):
     assert isinstance(d["boundary_errors"], list)
     assert list(d) == ["residual_max", "residual_grid_spec", "boundary_errors",
                        "theta_ok", "convention_sign", "evolution_linf_error",
-                       "evolution_reason", "warnings", "gates", "passed"]
+                       "evolution_reason", "warnings", "gates", "failed_gates",
+                       "passed"]
