@@ -50,8 +50,8 @@ def _constants(orbit: OrbitTable, ctx) -> _Constants:
 def build(orbit: OrbitTable, x, t, ctx):
     """Rows and rhs of the block system, and r = (w D_hat, w).
 
-    Columns are log-rescaled.  q = q_minus - s i sum_n w_n (mu'_n + D_hat_n
-    mu_n), which is q_minus - s i r^T y.
+    Columns are log-rescaled.  q = q_minus - i sum_n w_n (mu'_n + D_hat_n
+    mu_n), which is q_minus - i r^T y.
     """
     const = reconstruct.prepared(orbit, ctx, _constants)
     w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx)

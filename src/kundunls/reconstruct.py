@@ -2,10 +2,10 @@
 
 A pole module supplies ``build(orbit, x, t, ctx)`` returning ``(rows, rhs,
 r)``: the column-scaled system A y = b at one point and the reconstruction
-row r, so that q = q_minus - s i r^T A^{-1} b with s = ``orbit.sign``.  This
-module owns the column scaling, the scalar LU solve route, the batched float
-route for grid rows, the bordered-determinant route (kept a separate code
-path), the near-singularity check and the per-point flags.
+row r, so that q = q_minus - i r^T A^{-1} b.  This module owns the column
+scaling, the scalar LU solve route, the batched float route for grid rows,
+the bordered-determinant route (kept a separate code path), the
+near-singularity check and the per-point flags.
 
 The exponential weights are carried in log form and each column is rescaled
 by exp(-max(Re log w_j, 0)), so fields stay evaluable far out on the
@@ -96,7 +96,7 @@ def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FL
     bordered.append(list(r) + [ctx.convert(0)])
     num = linalg.det(bordered)
     den = linalg.det(rows)
-    return qm + orbit.sign * ctx.i * (num / den)
+    return qm + ctx.i * (num / den)
 
 
 def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
@@ -112,7 +112,7 @@ def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
     except SingularMatrix as exc:
         raise SingularMatrix(f"singular system at (x={x}, t={t}): {exc}") from exc
     y = fac.solve(rhs)
-    q = qm - orbit.sign * ctx.i * sum(rj * yj for rj, yj in zip(r, y))
+    q = qm - ctx.i * sum(rj * yj for rj, yj in zip(r, y))
     if check_condition:
         cond = linalg.cond_estimate(rows, fac)
         if cond > COND_WARN_THRESHOLD:
@@ -135,7 +135,7 @@ def sample_row(build, orbit: OrbitTable, xs, t: float):
 
     The float systems of the whole row are built as one (P, n, n) stack and
     inverted by one numpy call; each point is factorized once, and from its
-    inverse come both q = q_minus - s i r^T A^{-1} b and the exact 1-norm
+    inverse come both q = q_minus - i r^T A^{-1} b and the exact 1-norm
     condition number ||A||_1 ||A^{-1}||_1.  A point is flagged singular when
     its weights, matrix, condition number or q are not finite, or its matrix
     is exactly singular.  Every point's arithmetic is its own, so a row gives
@@ -170,7 +170,7 @@ def sample_row(build, orbit: OrbitTable, xs, t: float):
         cond = (numpy.abs(a).sum(axis=1).max(axis=1)
                 * numpy.abs(inv).sum(axis=1).max(axis=1))
         y = (inv @ b[:, :, None])[:, :, 0]
-        q = complex(orbit.q_minus) - orbit.sign * 1j * (rvec * y).sum(axis=1)
+        q = complex(orbit.q_minus) - 1j * (rvec * y).sum(axis=1)
     bad |= ~(numpy.isfinite(cond) & numpy.isfinite(q))
     return [_SINGULAR if bad_k else
             (q_k, "near_singular" if cond_k > COND_WARN_THRESHOLD else "ok", cond_k)

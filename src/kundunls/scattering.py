@@ -109,7 +109,7 @@ def check_symmetries(orbit: OrbitTable):
             ratio = qm * qm / (z * z)
         else:
             ratio = q0sq * q0sq * qm / (z ** 4 * qm.conjugate())
-        e1 = max(e1, _rel_err(orbit.A_minus_xihat[n], orbit.sign * ratio * a))
+        e1 = max(e1, _rel_err(orbit.A_minus_xihat[n], ratio * a))
         e2 = max(e2, _rel_err(orbit.A_minus_xihat[n_eigs + n], -a.conjugate()))
     add("NormingChainFirst", e1)
     add("NormingChainConjugate", e2)

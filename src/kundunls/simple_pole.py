@@ -15,7 +15,7 @@ from .spectrum import OrbitTable
 @dataclass
 class SimplePoleSystem:
     """The column-scaled system G mu = -v at one (x, t), G as rows, scaled
-    weights w, so that q = q_minus + s i w^T mu."""
+    weights w, so that q = q_minus + i w^T mu."""
 
     G: list
     w: list
@@ -32,7 +32,7 @@ def _constants(orbit: OrbitTable, ctx):
 def build(orbit: OrbitTable, x, t, ctx):
     """Rows of G, b = v and r = w, columns log-rescaled.
 
-    G mu = -v and q = q_minus + s i w^T mu, so q = q_minus - s i w^T G^{-1} v.
+    G mu = -v and q = q_minus + i w^T mu, so q = q_minus - i w^T G^{-1} v.
     """
     wc, v, d = reconstruct.prepared(orbit, ctx, _constants)
     w, c, _ = reconstruct.column_weights(wc, x, t, ctx)

@@ -3,10 +3,10 @@ symmetry orbit feeding both solvers.
 
 Eigenvalues are canonicalized into {Im z > 0, |z| > Q0}; the remaining three
 orbit points and every paired norming constant follow from the symmetry
-relations.  Two sign conventions ("a" and "b") exist because the source
-relations can be read with either sign on the second-symmetry chain; "a" is
-the one under which the constructed fields satisfy the evolution equation
-(frozen by the residual golden test).
+relations.  The source relations can be read with either sign on the
+second-symmetry chain; only the reading "a" is built, the one under which the
+constructed fields satisfy the evolution equation (frozen by the residual
+golden test).
 """
 
 import enum
@@ -18,15 +18,6 @@ from .errors import (ConfigValidationError, ContourEigenvalue, Diagnostic,
                      NumberError, finite_number)
 
 log = logging.getLogger(__name__)
-
-#: Convention name -> its sign, which multiplies both the second-symmetry
-#: chain and the reconstruction term.
-SIGN_CONVENTIONS = {"a": 1, "b": -1}
-
-#: Adjudicated empirically on the one-breather configuration; see the golden
-#: residual test.
-DEFAULT_SIGN_CONVENTION = "a"
-
 
 class PoleOrder(enum.Enum):
     SIMPLE = "simple"
@@ -86,7 +77,6 @@ class OrbitTable:
     read, plus q_plus."""
 
     cfg: SpectralConfig
-    sign_convention: str
     xi: tuple
     xi_hat: tuple
     A_minus_xihat: tuple
@@ -106,11 +96,6 @@ class OrbitTable:
         return self.xi[:self.N]
 
     @property
-    def sign(self) -> int:
-        """The convention's sign, +1 for "a" and -1 for "b"."""
-        return SIGN_CONVENTIONS[self.sign_convention]
-
-    @property
     def q_minus(self):
         return self.cfg.q_minus
 
@@ -119,18 +104,11 @@ class OrbitTable:
         return abs(self.cfg.q_minus)
 
 
-def resolve_convention(convention: str) -> str:
-    if convention == "auto":
-        return DEFAULT_SIGN_CONVENTION
-    if convention not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {convention!r}")
-    return convention
-
-
 def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> OrbitTable:
-    """Build the full 2N orbit with its minus-side norming constants."""
-    convention = resolve_convention(convention)
-    sign = SIGN_CONVENTIONS[convention]
+    """Build the full 2N orbit with its minus-side norming constants.
+    ``convention`` names the one sign convention, "a" or "auto"."""
+    if convention not in ("a", "auto"):
+        raise ValueError(f"unknown sign convention {convention!r}")
     cz = []
     for e in cfg.eigenvalues:
         z = canonicalize_eigenvalue(e.z, cfg.Q0)
@@ -156,7 +134,7 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
             ratio = (q0sq * q0sq) * qm / (z ** 4 * qm.conjugate())
         else:
             ratio = qm * qm / (z * z)
-        a_minus[n] = sign * ratio * a
+        a_minus[n] = ratio * a
         a_minus[n_eigs + n] = -a.conjugate()
         if double:
             b = conv(e.B_plus)
@@ -174,7 +152,6 @@ def derive_orbit(cfg: SpectralConfig, convention="auto", ctx=_mathctx.FLOAT) -> 
 
     return OrbitTable(
         cfg=cfg,
-        sign_convention=convention,
         xi=tuple(xi),
         xi_hat=tuple(xi_hat),
         A_minus_xihat=tuple(a_minus),

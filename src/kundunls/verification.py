@@ -17,12 +17,12 @@ from . import _mathctx, scattering
 from .errors import (PeriodicIncompatible, SingularMatrix, StencilEvaluationFailure,
                      finite_number)
 from .fields import POLE_MODULES
-from .spectrum import SIGN_CONVENTIONS, SpectralConfig, derive_orbit
+from .spectrum import SpectralConfig, derive_orbit
 from .uniformization import lambda_of_z
 
 RESIDUAL_DPS = 40
 PERIODIC_GATE = 1e-8
-#: The stencil (x, t, h) at which ``probe_convention`` compares the conventions.
+#: The stencil (x, t, h) at which ``probe_convention`` takes the residual.
 PROBE_STENCIL = (0.3, 0.7, 1e-3)
 #: The time at which ``boundary_errors`` compares the field with q_minus, q_plus.
 BOUNDARY_T = 0.0
@@ -41,7 +41,9 @@ RESIDUAL_H = 1e-3
 class EvolutionSetup:
     """Periodic window and stepping for the split-step cross-check; checked on
     construction: L, dt > 0, M a power of two whose complex samples fit in
-    one array, t1 > t0 and t1 - t0 a whole number of steps, at least one."""
+    one array, a finite linear phase k^2 dt at the largest wavenumber
+    k = pi M / (2 L), t1 > t0 and t1 - t0 a whole number of steps, at least
+    one."""
 
     L: float = 40.0
     M: int = 4096
@@ -61,6 +63,10 @@ class EvolutionSetup:
             raise ValueError(f"M = {self.M} is not a power of two")
         if 16 * self.M > sys.maxsize:  # bytes of M complex128 samples
             raise ValueError(f"M = {self.M} samples do not fit in one array")
+        k = math.pi * self.M / (2 * self.L)
+        if not math.isfinite(k * k * self.dt):
+            raise ValueError(f"L = {self.L} and M = {self.M} give a wavenumber "
+                             f"{k:.3e} whose linear phase k^2 dt overflows")
         if not self.t1 > self.t0:
             raise ValueError("evolution span needs t1 > t0")
         span = self.t1 - self.t0
@@ -266,12 +272,9 @@ def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):
 
 
 def probe_convention(cfg: SpectralConfig) -> dict:
-    """Residual magnitude at ``PROBE_STENCIL`` under each registered convention."""
-    out = {}
-    for name in SIGN_CONVENTIONS:
-        evaluator, _ = _evaluator(cfg, name)
-        out[name] = abs(pde_residual(evaluator, cfg, *PROBE_STENCIL))
-    return out
+    """{"a": residual magnitude at ``PROBE_STENCIL``} of the one convention."""
+    evaluator, _ = _evaluator(cfg, "a")
+    return {"a": abs(pde_residual(evaluator, cfg, *PROBE_STENCIL))}
 
 
 def evolution_cross_check(orbit, setup: EvolutionSetup) -> float:
@@ -350,7 +353,7 @@ def verify(cfg: SpectralConfig,
                  f"t in [{t_min}, {t_max}], h={RESIDUAL_H}")
 
     orbit = derive_orbit(cfg)
-    b_errs = boundary_errors(cfg, orbit.sign_convention, L=boundary_window(orbit))
+    b_errs = boundary_errors(cfg, "a", L=boundary_window(orbit))
 
     theta_diag = scattering.check_theta_condition(orbit)
     if not theta_diag.ok:
@@ -362,7 +365,7 @@ def verify(cfg: SpectralConfig,
         residual_grid_spec=grid_spec,
         boundary_errors=list(b_errs),
         theta_ok=theta_diag.ok,
-        convention_sign=orbit.sign_convention,
+        convention_sign="a",
         evolution_linf_error=evo_err,
         evolution_reason=evo_reason,
         warnings=warnings_list,

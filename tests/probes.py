@@ -1,8 +1,10 @@
 """Measurements that only the tests take: peak positions of sampled curves,
 the order of a zero of s11 and the background level of the gauge-side
-field u; and the CSV of a grid built as one string, the reference for the
+field u; the field of the wrong sign convention, the residual's negative
+control; and the CSV of a grid built as one string, the reference for the
 streamed writer."""
 
+import dataclasses
 import math
 
 from kundunls.io import CSV_HEADER, _fmt
@@ -43,6 +45,25 @@ def zero_order_estimate(orbit, zn: complex) -> float:
 def background_u(cfg) -> float:
     """Background amplitude of the gauge-side field u, Q0 / |epsilon|."""
     return cfg.Q0 / abs(cfg.epsilon)
+
+
+def opposite_sign_evaluator(orbit, evaluate_q):
+    """Evaluator q(x, t) of the field read with the other sign on the
+    second-symmetry chain, which does not solve the equation.
+
+    That sign negates the first N minus-side norming constants and the
+    reconstruction term, so q = 2 q_minus - q', where q' is the field of the
+    orbit with those constants negated.  ``evaluate_q`` is the pole module's.
+    """
+    n = orbit.N
+    flipped = dataclasses.replace(orbit, A_minus_xihat=(
+        *(-a for a in orbit.A_minus_xihat[:n]), *orbit.A_minus_xihat[n:]))
+    twice_qm = 2 * orbit.q_minus
+
+    def evaluator(x, t):
+        return twice_qm - evaluate_q(flipped, x, t, check_condition=False)
+
+    return evaluator
 
 
 def whole_csv(grid) -> str:

@@ -6,8 +6,7 @@ import pytest
 
 from kundunls.errors import ConfigValidationError, ContourEigenvalue
 from kundunls.spectrum import (EigenEntry, PoleOrder, SpectralConfig,
-                               canonicalize_eigenvalue, derive_orbit,
-                               resolve_convention)
+                               canonicalize_eigenvalue, derive_orbit)
 
 
 def _rejected_codes(*args):
@@ -110,12 +109,12 @@ def test_replaced_config_is_checked_again(fig2a):
     assert [d.code for d in err.value.diagnostics] == ["EpsilonZero"]
 
 
-def test_convention_resolution():
-    assert resolve_convention("auto") == "a"
-    assert resolve_convention("b") == "b"
-    for bad in ("c", None):
+def test_convention_resolution(fig2a):
+    """Convention "a" is the only one; "auto" names it, and any other raises."""
+    assert derive_orbit(fig2a, "auto") == derive_orbit(fig2a, "a") == derive_orbit(fig2a)
+    for bad in ("b", "c", None):
         with pytest.raises(ValueError):
-            resolve_convention(bad)
+            derive_orbit(fig2a, bad)
 
 
 def test_double_orbit_carries_derivative_constants(fig7a):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from probes import peak_locations
+from probes import opposite_sign_evaluator, peak_locations
 from kundunls import _mathctx, io, verification
 from kundunls.errors import PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
@@ -30,16 +30,20 @@ def test_residual_small_for_constructed_field(fig2a):
     assert abs(r) < 1e-6
 
 
-def test_residual_exposes_wrong_sign_convention(fig2a):
-    evaluator, _ = _evaluator(fig2a, "b")
-    r = pde_residual(evaluator, fig2a, 0.3, 0.7, 1e-3)
-    assert abs(r) > 1.0
+def test_residual_exposes_wrong_sign_convention(fig2a, fig7a):
+    """The other sign on the second-symmetry chain misses the equation, for
+    a simple and for a double pole."""
+    for cfg in (fig2a, fig7a):
+        evaluator = opposite_sign_evaluator(
+            derive_orbit(cfg), verification.POLE_MODULES[cfg.pole_order].evaluate_q)
+        r = pde_residual(evaluator, cfg, *verification.PROBE_STENCIL)
+        assert abs(r) > 1.0
 
 
 def test_probe_selects_adjudicated_convention(fig2a, fig7a):
     for cfg in (fig2a, fig7a):
         probes = probe_convention(cfg)
-        assert min(probes, key=probes.get) == "a"
+        assert list(probes) == ["a"] and probes["a"] < 1e-6
 
 
 def test_verify_judges_convention_a_without_a_probe(monkeypatch, fig2a):
@@ -384,8 +388,10 @@ BACKGROUND = SpectralConfig(q_minus=1 + 0j, epsilon=1.0, gamma0=0.0,
     (lambda: EvolutionSetup(M=2 ** 63), ValueError),
     (lambda: EvolutionSetup(M=256, dt=1e-4, t0=0.0, t1=1e-10), ValueError),
     (lambda: EvolutionSetup(dt=float("nan")), ValueError),
+    (lambda: EvolutionSetup(L=1e-300, M=64, dt=0.5, t0=0.0, t1=1.0), ValueError),
 ], ids=["no-residual_n", "no-window", "no-gates", "no-h", "empty-span", "M-100",
-        "huge-M", "M-2**62", "M-2**63", "under-half-a-step", "nan-dt"])
+        "huge-M", "M-2**62", "M-2**63", "under-half-a-step", "nan-dt",
+        "phase-overflow"])
 def test_plan_and_setup_check_their_fields(build, error):
     """verify takes none of the fixed sweep settings, and a split-step setup
     built in Python is held to the rules a config's is."""
