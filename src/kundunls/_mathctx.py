@@ -4,13 +4,16 @@ Every solver-facing function in this package does its complex arithmetic
 through one of these contexts.  ``FLOAT`` uses the builtin ``complex`` type;
 ``numpy_context()`` evaluates the same formulas over a float64 array of x
 values at once, for batched grid rows, and is built on first use, once per
-process; ``mp_context(dps)`` returns an mpmath-backed context used by the
-residual checker, where stencil differencing would otherwise be limited by
-double roundoff.
+process.  ``decimal_context(digits)`` carries a fixed number of significant
+decimal digits on the C-backed ``decimal`` module; the residual sweep runs in
+it, where stencil differencing would otherwise be limited by double roundoff.
+``mp_context(dps)`` is the same kind of context on pure-Python mpmath, several
+times slower; no command runs it.
 """
 
 import cmath
 import functools
+import math
 
 
 class MathContext:
@@ -49,3 +52,105 @@ def mp_context(dps=40):
     return MathContext(ctx.mpc, ctx.exp, ctx.log, ctx.arg,
                        f"mpmath-dps{dps}", real=ctx.mpf)
 
+
+@functools.cache
+def decimal_context(digits=40):
+    """Complex scalars of two ``Decimal`` parts, ``re`` and ``im``, rounded to
+    ``digits`` in one explicit ``decimal.Context``, never in the thread's
+    ambient one (28 digits by default).  int, float, complex and Decimal
+    operands convert exactly; a real value (``im`` zero) orders against numbers
+    and prints as mpmath's does.  exp, log and arg run in ``mpmath.libmp`` at
+    20 bits beyond ``digits`` and round once on the way back."""
+    # imported here, so that commands without a residual sweep do not pay for them
+    import decimal
+
+    from mpmath import libmp
+
+    dec = decimal.Context(prec=digits, traps=[decimal.InvalidOperation,
+                                              decimal.DivisionByZero, decimal.Overflow])
+    add, sub, mul, div = dec.add, dec.subtract, dec.multiply, dec.divide
+    Decimal, from_float = decimal.Decimal, decimal.Decimal.from_float
+    zero = Decimal(0)
+    bits = math.ceil(digits * math.log2(10)) + 20
+
+    def parts(v):
+        if type(v) is DecimalComplex:
+            return v.re, v.im
+        if isinstance(v, complex):
+            return from_float(v.real), from_float(v.imag)
+        return (from_float(v) if isinstance(v, float) else Decimal(v)), zero
+
+    def to_mpf(d):  # to within 2**-bits, relative
+        if not d.is_finite():
+            return libmp.from_float(float(d))
+        p, q = d.as_integer_ratio()
+        shift = max(bits + q.bit_length() - p.bit_length(), 0)
+        return libmp.from_man_exp((p << shift) // q, -shift)
+
+    def from_mpf(m):
+        sign, man, exp, _ = m
+        if not man:  # zero, an infinity or NaN
+            return from_float(libmp.to_float(m))
+        man = -man if sign else man
+        return (dec.create_decimal(man << exp) if exp >= 0
+                else div(Decimal(man), Decimal(1 << -exp)))
+
+    def quotient(a, b, c, d):
+        if not d:
+            return DecimalComplex(div(a, c), div(b, c))
+        den = add(mul(c, c), mul(d, d))
+        return DecimalComplex(div(add(mul(a, c), mul(b, d)), den),
+                              div(sub(mul(b, c), mul(a, d)), den))
+
+    class DecimalComplex:
+        __slots__ = ("re", "im")
+
+        def __init__(self, re, im=zero):
+            self.re, self.im = re, im
+
+        def __add__(self, other):
+            c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
+            return DecimalComplex(add(self.re, c), add(self.im, d))
+
+        def __sub__(self, other):
+            c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
+            return DecimalComplex(sub(self.re, c), sub(self.im, d))
+
+        def __mul__(self, other):
+            c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
+            a, b = self.re, self.im
+            return DecimalComplex(sub(mul(a, c), mul(b, d)), add(mul(a, d), mul(b, c)))
+
+        def __str__(self):
+            if not self.im:
+                return libmp.to_str(to_mpf(self.re), digits)
+            return f"({libmp.mpc_to_str((to_mpf(self.re), to_mpf(self.im)), digits)})"
+
+        __radd__, __rmul__, __repr__ = __add__, __mul__, __str__
+        __eq__ = lambda self, other: (self.re, self.im) == parts(other)
+        # a complex value raises TypeError, as float(complex) does
+        __float__ = lambda self: float(complex(self) if self.im else self.re)
+        __rsub__ = lambda self, other: -self + other
+        __truediv__ = lambda self, other: quotient(self.re, self.im, *parts(other))
+        __rtruediv__ = lambda self, other: quotient(*parts(other), self.re, self.im)
+        __pow__ = lambda self, n: functools.reduce(DecimalComplex.__mul__, [self] * n)
+        __neg__ = lambda self: DecimalComplex(self.re.copy_negate(), self.im.copy_negate())
+        conjugate = lambda self: DecimalComplex(self.re, self.im.copy_negate())
+        real = property(lambda self: DecimalComplex(self.re))
+        __abs__ = lambda self: DecimalComplex(dec.sqrt(add(mul(self.re, self.re),
+                                                           mul(self.im, self.im))))
+        __complex__ = lambda self: complex(float(self.re), float(self.im))
+        # ordered by the real parts; dec.compare gives NaN where they are unordered
+        __lt__ = lambda self, other: dec.compare(self.re, parts(other)[0]) == -1
+        __gt__ = lambda self, other: dec.compare(self.re, parts(other)[0]) == 1
+        __le__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (-1, 0)
+        __ge__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (0, 1)
+
+    def through_libmp(f):  # f on the parts as libmp numbers, giving the result's parts
+        return lambda z: DecimalComplex(*map(from_mpf, f(*map(to_mpf, parts(z)))))
+
+    exp = through_libmp(lambda re, im: libmp.mpc_exp((re, im), bits))
+    log = through_libmp(lambda re, im: libmp.mpc_log((re, im), bits))
+    arg = through_libmp(lambda re, im: (libmp.mpf_atan2(im, re, bits),))
+    return MathContext(lambda v: DecimalComplex(*parts(v)), exp, log, arg,
+                       f"decimal-{digits}", real=lambda v: DecimalComplex(parts(v)[0]))

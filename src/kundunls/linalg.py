@@ -2,8 +2,9 @@
 
 A matrix is a plain list of equal-length rows.  Row-oriented LU with partial
 pivoting, written over generic complex scalars so the same factorization runs
-in double precision or under mpmath.  Sizes stay tiny (4N x 4N with N the
-number of eigenvalues), so there is no reason to reach past plain Python here.
+in double precision or at the residual sweep's 40 digits.  Sizes stay tiny
+(4N x 4N with N the number of eigenvalues), so there is no reason to reach
+past plain Python here.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ def lu_factor(rows) -> LUFactorization:
     perm = list(range(n))
     sign = 1
     for k in range(n):
-        # magnitudes compared in double: under mpmath a full-precision hypot
+        # magnitudes compared in double: in multiprecision a full-precision hypot
         # per candidate would cost several times the conversion
         piv, pmag = k, abs(complex(lu[k][k]))
         for i in range(k + 1, n):

@@ -2,7 +2,7 @@
 
 The single complex coordinate z replaces the two-sheeted surface of the
 spectral parameter k.  All maps here are rational in z, so they evaluate
-unchanged for builtin complex or mpmath scalars; each takes z != 0 and the
+unchanged for builtin complex or multiprecision scalars; each takes z != 0 and the
 background amplitude q0 > 0, which every orbit point of a ``SpectralConfig``
 has, since the config checks its data when it is constructed.
 """

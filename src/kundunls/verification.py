@@ -1,10 +1,10 @@
 """Independent adjudication of constructed fields.
 
 Three unrelated oracles: pointwise evolution-equation residuals from
-finite differences (run in extended precision so the stencil roundoff does
-not mask the truncation behavior), split-step Fourier time evolution of the
-same equation, and boundary/phase asymptotics.  A field that fools all
-three at once would have to be a genuine solution.
+finite differences (run at 40 significant digits in ``decimal`` arithmetic,
+so the stencil roundoff does not mask the truncation behavior), split-step
+Fourier time evolution of the same equation, and boundary/phase asymptotics.
+A field that fools all three at once would have to be a genuine solution.
 """
 
 import math
@@ -128,7 +128,7 @@ def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
     q_xx = (-qx[0] + 16 * qx[1] - 30 * qc + 16 * qx[2] - qx[3]) / (12 * h * h)
     q_t = (qt[0] - 8 * qt[1] + 8 * qt[2] - qt[3]) / (12 * h)
     mod2 = (qc * qc.conjugate()).real
-    return ctx.i * q_t + q_xx + 2 * (mod2 - cfg.Q0 ** 2) * qc
+    return ctx.i * q_t + q_xx + 2 * (mod2 - ctx.real(cfg.Q0 ** 2)) * qc
 
 
 def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
@@ -145,7 +145,8 @@ def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
 def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = RESIDUAL_H,
                    convention: str = "auto") -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
-    evaluated with ``RESIDUAL_DPS`` digits.
+    evaluated in ``_mathctx.decimal_context(RESIDUAL_DPS)``: ``RESIDUAL_DPS``
+    significant digits in C-backed ``decimal`` arithmetic.
 
     The t rows are spread over forked worker processes, one per CPU the
     process may use and at most one per row (see ``_sweep_workers``).  Each
@@ -156,15 +157,15 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"residual sweep n must be an integer >= 2, got {n!r}")
-    ctx = _mathctx.mp_context(RESIDUAL_DPS)
+    ctx = _mathctx.decimal_context(RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, convention, ctx)
     x_min, x_max, t_min, t_max = window
     # build the sample points in working precision: a coordinate rounded to
     # double would be amplified by 1/h^2 in the second-difference stencil
-    mpf = ctx.real
-    xs = [mpf(x_min) + (mpf(x_max) - mpf(x_min)) * i / (n - 1) for i in range(n)]
-    ts = [mpf(t_min) + (mpf(t_max) - mpf(t_min)) * i / (n - 1) for i in range(n)]
-    hh = mpf(h)
+    real = ctx.real
+    xs = [real(x_min) + (real(x_max) - real(x_min)) * i / (n - 1) for i in range(n)]
+    ts = [real(t_min) + (real(t_max) - real(t_min)) * i / (n - 1) for i in range(n)]
+    hh = real(h)
 
     def row(i):
         return [float(abs(pde_residual(evaluator, cfg, x, ts[i], hh, ctx=ctx)))

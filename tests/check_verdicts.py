@@ -1,10 +1,12 @@
 """Compare ``kundunls check`` on every bundled preset with the pinned table.
 
 The table, ``verdicts.json`` next to this script, holds each preset's exit
-code and the gates its report names in ``failed_gates`` (``residual``,
-``boundary``, ``theta``, ``evolution``), or, for a config that is rejected,
-the code of its first diagnostic.  A verdict can then change only in a diff
-of that table.
+code, the gates its report names in ``failed_gates`` (``residual``,
+``boundary``, ``theta``, ``evolution``) and its ``residual_max``, or, for a
+config that is rejected, the code of its first diagnostic.  ``residual_max``
+must match to the last bit, so a change to the sweep's arithmetic that moves
+any preset's residual shows up here.  A verdict can then change only in a
+diff of that table.
 
     python tests/check_verdicts.py
 
@@ -27,7 +29,9 @@ def verdict(name: str) -> dict:
     run = subprocess.run([sys.executable, "-m", "kundunls.cli", "check", name],
                          capture_output=True, text=True)
     if run.stdout.strip():
-        return {"exit": run.returncode, "failing": json.loads(run.stdout)["failed_gates"]}
+        report = json.loads(run.stdout)
+        return {"exit": run.returncode, "failing": report["failed_gates"],
+                "residual_max": report["residual_max"]}
     code = re.search(r"^\s+(\w+): ", run.stderr, re.MULTILINE)
     return {"exit": run.returncode, "error": code.group(1) if code else run.stderr}
 

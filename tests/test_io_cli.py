@@ -301,11 +301,12 @@ def test_cli_runner_keeps_the_sigpipe_handler():
 
 
 def test_cli_import_leaves_mpmath_out():
-    """Only the residual sweep needs mpmath, so the commands that run none
-    do not import it."""
-    probe = _python("-c", "import sys, kundunls.cli; print('mpmath' in sys.modules)",
+    """Only the residual sweep needs mpmath and decimal, so the commands that
+    run none do not import them."""
+    probe = _python("-c", "import sys, kundunls.cli; "
+                    "print('mpmath' in sys.modules, 'decimal' in sys.modules)",
                     capture_output=True, text=True, check=True)
-    assert probe.stdout == "False\n"
+    assert probe.stdout == "False False\n"
 
 
 NUMPY_PROBE = """

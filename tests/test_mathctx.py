@@ -1,0 +1,113 @@
+import decimal
+
+import mpmath
+import pytest
+
+from kundunls import _mathctx, verification
+from kundunls.verification import _evaluator, pde_residual
+
+DIGITS = verification.RESIDUAL_DPS
+DEC = _mathctx.decimal_context(DIGITS)
+MP = _mathctx.mp_context(DIGITS)
+
+#: |Im| up to 1e3, zero and negative real parts, a value with 40 digits
+ARGUMENTS = [1 + 0j, -1 + 0j, 1j, -1j, 2.5 - 3j, -7.25 + 0.5j, 0.3 + 1000j,
+             -0.3 - 999.5j, 40 - 2j, -40 + 3j, 1e-20 + 1j, 0.001 + 0j]
+NAN = float("nan")
+
+
+def _mp(value):
+    """A scalar of the decimal context as an mpmath number, digit for digit."""
+    return mpmath.mpc(str(value.re), str(value.im))
+
+
+def _close(got, ref, rel=1e-38):
+    with mpmath.workdps(60):
+        return abs(_mp(got) - ref) <= rel * abs(ref)
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "arg"])
+def test_transcendentals_match_mpmath(name):
+    values = [DEC.convert(z) for z in ARGUMENTS] + [DEC.real(1) / 3 + DEC.i * 7]
+    for value in values:
+        with mpmath.workdps(60):
+            ref = getattr(mpmath, name)(_mp(value))
+        assert _close(getattr(DEC, name)(value), ref), (name, value)
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "arg"])
+@pytest.mark.parametrize("z", [complex(NAN, 0), complex(0, NAN), complex(1, NAN)])
+def test_transcendentals_carry_nan_as_mpmath_does(name, z):
+    got = getattr(DEC, name)(DEC.convert(z))
+    ref = mpmath.mpc(getattr(MP, name)(MP.convert(z)))
+    assert (got.re.is_nan(), got.im.is_nan()) == (mpmath.isnan(ref.real),
+                                                 mpmath.isnan(ref.imag))
+
+
+OPERANDS = [3, -2.75, 0.1 + 0.2j, decimal.Decimal("1.25")]
+
+
+@pytest.mark.parametrize("other", OPERANDS, ids=["int", "float", "complex", "Decimal"])
+def test_arithmetic_mixes_numbers_exactly(other):
+    """Each operand converts exactly, and each result is the exact one rounded
+    to 40 digits, on either side of the operator."""
+    z = DEC.real(2) / 3 - DEC.i / 7
+    with mpmath.workdps(60):
+        zm = _mp(z)
+        om = mpmath.mpmathify(str(other) if isinstance(other, decimal.Decimal)
+                              else other)
+        pairs = [(z + other, zm + om), (other + z, om + zm), (z - other, zm - om),
+                 (other - z, om - zm), (z * other, zm * om), (other * z, om * zm),
+                 (z / other, zm / om), (other / z, om / zm)]
+    for got, ref in pairs:
+        assert _close(got, ref, rel=1e-39), (got, ref)
+
+
+def test_arithmetic_ignores_the_ambient_context():
+    def compute():
+        z = DEC.real(1) / 3 + DEC.real(0.001) * 2
+        return z, DEC.exp(z * z - DEC.i) / 7 + abs(z) - 1.5
+
+    expected = compute()
+    with decimal.localcontext(decimal.Context(prec=6)):
+        assert compute() == expected
+    assert len(expected[0].re.as_tuple().digits) == DIGITS
+
+
+def test_real_values_order_against_floats_and_print_as_mpmath():
+    t = DEC.real(0.7)
+    assert t > 0.5 and t < 1 and t >= 0.7 and t <= 0.7 and not t > 0.7
+    assert not t < NAN and not t > NAN and not t >= NAN
+    assert DEC.real(-3) < DEC.real(-2.5)
+    for value in (-5.0, -3.0, 1e-3, 0.5, 1 / 3):
+        assert str(DEC.real(value)) == str(MP.real(value))
+    step = DEC.real(6) * 7 / 20 - 3
+    assert str(step) == str(MP.real(6) * 7 / 20 - 3) == "-0.9"
+    assert float(DEC.real(0.1)) == 0.1 and complex(DEC.convert(1 - 2j)) == 1 - 2j
+    with pytest.raises(TypeError):
+        float(DEC.convert(1 - 2j))
+
+
+#: The sweep node (i, j) of each config's largest residual, as
+#: perfbench/checks.py names it in RESIDUAL_ARGMAX
+RESIDUAL_ARGMAX = {"fig2a": (10, 13), "fig4a": (12, 12), "fig7a": (16, 18)}
+
+
+def _argmax_residual(cfg, node, ctx):
+    evaluator, _ = _evaluator(cfg, "a", ctx)
+    x_min, x_max, t_min, t_max = (ctx.real(v) for v in verification.RESIDUAL_WINDOW)
+    n = verification.RESIDUAL_N - 1
+    x = x_min + (x_max - x_min) * node[0] / n
+    t = t_min + (t_max - t_min) * node[1] / n
+    r = pde_residual(evaluator, cfg, x, t, ctx.real(verification.RESIDUAL_H), ctx=ctx)
+    return float(abs(r))
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_ARGMAX))
+def test_argmax_residual_has_the_mpmath_bits(request, name):
+    cfg = request.getfixturevalue(name)
+    node = RESIDUAL_ARGMAX[name]
+    expected = _argmax_residual(cfg, node, MP)
+    assert _argmax_residual(cfg, node, DEC) == expected
+    with decimal.localcontext(decimal.Context(prec=6)):
+        assert _argmax_residual(cfg, node, DEC) == expected

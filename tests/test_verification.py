@@ -5,6 +5,7 @@ import os
 import random
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,9 +91,9 @@ def test_residual_sweep_matches_pinned_values(request, name):
 
 @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig7a"])
 def test_sweep_evaluator_matches_oracle(request, name):
-    """The dps-40 route of the sweep agrees with the independent dps-50 oracle."""
+    """The 40-digit route of the sweep agrees with the independent dps-50 oracle."""
     cfg = request.getfixturevalue(name)
-    ctx = _mathctx.mp_context(verification.RESIDUAL_DPS)
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, "a", ctx)
     zs = [e.z for e in cfg.eigenvalues]
     As = [e.A_plus for e in cfg.eigenvalues]
@@ -105,27 +106,22 @@ def test_sweep_evaluator_matches_oracle(request, name):
                                    x, t)
         else:
             ref = oracles.simple_q(cfg.q_minus, zs, As, x, t)
-        assert abs(got - ref) < 1e-30
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpc(str(got.re), str(got.im)) - ref) < 1e-30
 
 
 def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
     """log A_minus is taken once per mirror point and sweep, not once per
     field evaluation: 2N calls to the context's log."""
     calls = []
-    real = _mathctx.mp_context
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
+    log = ctx.log
 
-    def counting(dps):
-        ctx = real(dps)
-        log = ctx.log
+    def counted(value):
+        calls.append(value)
+        return log(value)
 
-        def counted(value):
-            calls.append(value)
-            return log(value)
-
-        ctx.log = counted
-        return ctx
-
-    monkeypatch.setattr(_mathctx, "mp_context", counting)
+    monkeypatch.setattr(ctx, "log", counted)
     residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3)
     assert len(calls) == 2 * fig4a.N
 
