@@ -7,6 +7,8 @@ values at once, for batched grid rows, and is built on first use, once per
 process.  ``decimal_context(digits)`` carries a fixed number of significant
 decimal digits on the C-backed ``decimal`` module; the residual sweep runs in
 it, where stencil differencing would otherwise be limited by double roundoff.
+Its exponent range is decimal's widest, so it alone is ``wide_range``, and
+its scalars hash like numbers, so they can key tables.
 ``mp_context(dps)`` is the same kind of context on pure-Python mpmath, several
 times slower; no command runs it.
 """
@@ -17,7 +19,7 @@ import math
 
 
 class MathContext:
-    def __init__(self, convert, exp, log, arg, name, real=float):
+    def __init__(self, convert, exp, log, arg, name, real=float, wide_range=False):
         self.convert = convert  # python complex -> context scalar
         self.exp = exp
         self.log = log
@@ -25,6 +27,7 @@ class MathContext:
         self.name = name
         self.real = real  # python float -> context real scalar
         self.i = convert(1j)
+        self.wide_range = wide_range  # weights need no column shift; decimal only
 
     def __repr__(self):
         return f"MathContext({self.name})"
@@ -60,14 +63,18 @@ def decimal_context(digits=40):
     ambient one (28 digits by default).  int, float, complex and Decimal
     operands convert exactly; a real value (``im`` zero) orders against numbers
     and prints as mpmath's does.  exp, log and arg run in ``mpmath.libmp`` at
-    20 bits beyond ``digits`` and round once on the way back."""
+    20 bits beyond ``digits`` and round once on the way back.  The exponent
+    range is decimal's widest, so unscaled weights stay representable far out
+    on the background (``wide_range``); past it, ``decimal.Overflow``.  A
+    scalar hashes as an equal int, float, complex or Decimal does."""
     # imported here, so that commands without a residual sweep do not pay for them
     import decimal
 
     from mpmath import libmp
 
-    dec = decimal.Context(prec=digits, traps=[decimal.InvalidOperation,
-                                              decimal.DivisionByZero, decimal.Overflow])
+    dec = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                 decimal.Overflow])
     add, sub, mul, div = dec.add, dec.subtract, dec.multiply, dec.divide
     Decimal, from_float = decimal.Decimal, decimal.Decimal.from_float
     zero = Decimal(0)
@@ -128,6 +135,9 @@ def decimal_context(digits=40):
 
         __radd__, __rmul__, __repr__ = __add__, __mul__, __str__
         __eq__ = lambda self, other: (self.re, self.im) == parts(other)
+        # as the equal number: a real value as its Decimal, a complex one as
+        # complex(self), which equal scalars and an equal python complex share
+        __hash__ = lambda self: hash(complex(self) if self.im else self.re)
         # a complex value raises TypeError, as float(complex) does
         __float__ = lambda self: float(complex(self) if self.im else self.re)
         __rsub__ = lambda self, other: -self + other
@@ -153,4 +163,5 @@ def decimal_context(digits=40):
     log = through_libmp(lambda re, im: libmp.mpc_log((re, im), bits))
     arg = through_libmp(lambda re, im: (libmp.mpf_atan2(im, re, bits),))
     return MathContext(lambda v: DecimalComplex(*parts(v)), exp, log, arg,
-                       f"decimal-{digits}", real=lambda v: DecimalComplex(parts(v)[0]))
+                       f"decimal-{digits}", real=lambda v: DecimalComplex(parts(v)[0]),
+                       wide_range=True)

@@ -7,10 +7,12 @@ scaling, the scalar LU solve route, the batched float route for grid rows,
 the bordered-determinant route (kept a separate code path), the
 near-singularity check and the per-point flags.
 
-The exponential weights are carried in log form and each column is rescaled
-by exp(-max(Re log w_j, 0)), so fields stay evaluable far out on the
-background where exp(2 i theta) overflows double precision.  The scale
-factors cancel in the reconstruction.
+In double precision the exponential weights are carried in log form and
+each column is rescaled by exp(-max(Re log w_j, 0)), so fields stay
+evaluable far out on the background where exp(2 i theta) overflows.  The
+scale factors cancel in the reconstruction.  A ``wide_range`` context (the
+40-digit one) needs no such device; its weights are unscaled and factored
+into x and t parts, each computed once per coordinate value.
 
 A pole module's (x, t)-independent constants (log A_minus, lambda, k, the
 pole differences and the diagonal coefficients) are computed once per
@@ -36,20 +38,32 @@ _SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 class WeightConstants:
     """The (x, t)-independent part of the weights w_j = A_minus[xi_hat_j]
     e^{2 i theta(xi_hat_j)}, in one context: log A_minus[xi_hat_j],
-    lambda(xi_hat_j), 2 k(xi_hat_j) and 2 i."""
+    lambda(xi_hat_j), 2 k(xi_hat_j) and 2 i; in a ``wide_range`` context also
+    A_minus[xi_hat_j], the rates 2 i lambda_j and -4 i lambda_j k_j and the
+    tables x -> [e^{2 i lambda_j x}], t -> [e^{-4 i lambda_j k_j t}]."""
 
     log_a: tuple
     lam: tuple
     two_k: tuple
     two_i: object
+    a: tuple = ()
+    x_rate: tuple = ()
+    t_rate: tuple = ()
+    x_factors: dict = None
+    t_factors: dict = None
 
 
 def weight_constants(orbit: OrbitTable, ctx) -> WeightConstants:
     q0 = orbit.Q0
-    return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat),
-                           tuple(lambda_of_z(zh, q0) for zh in orbit.xi_hat),
-                           tuple(2 * k_of_z(zh, q0) for zh in orbit.xi_hat),
-                           2 * ctx.i)
+    lam = tuple(lambda_of_z(zh, q0) for zh in orbit.xi_hat)
+    two_k = tuple(2 * k_of_z(zh, q0) for zh in orbit.xi_hat)
+    two_i = 2 * ctx.i
+    wide = {} if not ctx.wide_range else dict(
+        a=tuple(orbit.A_minus_xihat), x_rate=tuple(two_i * lj for lj in lam),
+        t_rate=tuple(-(two_i * (lj * kj)) for lj, kj in zip(lam, two_k)),
+        x_factors={}, t_factors={})
+    return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat), lam, two_k,
+                           two_i, **wide)
 
 
 def prepared(orbit: OrbitTable, ctx, make):
@@ -72,10 +86,24 @@ def _shift(lw):
     return max(float(lw.real), 0.0)
 
 
+def _factors(table: dict, rates, coord, ctx):
+    """[e^{rate_j coord}], computed once per coordinate value."""
+    if coord not in table:
+        table[coord] = [ctx.exp(rate * coord) for rate in rates]
+    return table[coord]
+
+
 def column_weights(wc: WeightConstants, x, t, ctx):
     """(w_j e^{-m_j}, e^{-m_j}, x - 2 k_j t) with m_j = max(Re log w_j, 0);
-    log w_j = log A_j + 2 i lambda_j (x - 2 k_j t)."""
+    log w_j = log A_j + 2 i lambda_j (x - 2 k_j t).  The shift is a double
+    precision device: a ``wide_range`` context takes m_j = 0 and the factored
+    w_j = A_j e^{2 i lambda_j x} e^{-4 i lambda_j k_j t} instead."""
     ys = [x - two_k * t for two_k in wc.two_k]
+    if ctx.wide_range:
+        ex = _factors(wc.x_factors, wc.x_rate, x, ctx)
+        et = _factors(wc.t_factors, wc.t_rate, t, ctx)
+        return ([aj * (exj * etj) for aj, exj, etj in zip(wc.a, ex, et)],
+                [ctx.convert(1)] * len(ys), ys)
     logw = [log_a + wc.two_i * (lam * y) for log_a, lam, y in zip(wc.log_a, wc.lam, ys)]
     shifts = [_shift(lw) for lw in logw]
     return ([ctx.exp(lw - m) for lw, m in zip(logw, shifts)],

@@ -146,7 +146,9 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
                    convention: str = "auto") -> float:
     """max |R(q)| over an n x n grid on window = (x_min, x_max, t_min, t_max),
     evaluated in ``_mathctx.decimal_context(RESIDUAL_DPS)``: ``RESIDUAL_DPS``
-    significant digits in C-backed ``decimal`` arithmetic.
+    significant digits in C-backed ``decimal`` arithmetic.  The stencils' 9 n^2
+    field evaluations (3,969 at n = 21) share 5 n x and 5 n t values (105), so
+    the orbit tables each weight factor once per coordinate value.
 
     The t rows are spread over forked worker processes, one per CPU the
     process may use and at most one per row (see ``_sweep_workers``).  Each

@@ -5,8 +5,11 @@ suite exists to make failures here diagnosable.
 """
 
 import cmath
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,14 +27,10 @@ from kundunls.verification import (EvolutionSetup, boundary_errors,
 
 WINDOW = (-5.0, 5.0, -3.0, 3.0)
 
-FIG2A_PGM_SHA256 = \
-    "411fe3fe17b61c65e11bb82511830642cc1f55124d2057fb34675fe70c529a26"
-FIG7A_PGM_SHA256 = \
-    "ee793a47f64bf2c2e841b8d59d955dc8453abcf8d2df70f149d0dfd27e7e2b7f"
-FIG7A_CSV_SHA256 = \
-    "0bbab162ce83d27e158a333f467141da042abdf41acd67252ae570c445214e57"
-FIG7A_JSON_SHA256 = \
-    "cdfc987727fe4d8463525fe78501ee97bce18aba5c8e78940c1a4871647b25b3"
+#: sha256 of every file ``construct`` writes for each valid preset (CSV, JSON
+#: and PGM) and of each valid preset's ``audit --seed 7`` stdout
+PINNED_OUTPUTS = json.loads(
+    (Path(__file__).with_name("outputs.json")).read_text(encoding="utf-8"))
 
 
 #: residual_sweep(cfg, WINDOW, n=21, h=h) for h = 1e-3 and 5e-4: the bits
@@ -190,8 +189,7 @@ def test_criterion_09_figure_phenomenology(fig2a):
 
 def test_criterion_10_deterministic_construction(tmp_path):
     """construct emits byte-identical CSV, JSON and PGM across runs and
-    threads."""
-    import hashlib
+    threads, and every file has its pinned bytes."""
     runner = CliRunner()
     rerun = {"fig2a", "fig3b", "fig7a"}  # one large, one simple, one double
     for name in io.preset_names():
@@ -210,10 +208,20 @@ def test_criterion_10_deterministic_construction(tmp_path):
         for ext in (".csv", ".json", ".pgm"):
             b1 = (out1 / f"{name}{ext}").read_bytes()
             assert b1 == (out2 / f"{name}{ext}").read_bytes(), (name, ext)
-    for file, pinned in (("fig2a.pgm", FIG2A_PGM_SHA256), ("fig7a.pgm", FIG7A_PGM_SHA256),
-                         ("fig7a.csv", FIG7A_CSV_SHA256),
-                         ("fig7a.json", FIG7A_JSON_SHA256)):
-        data = (tmp_path / "one" / file.split(".")[0] / file).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == pinned, file
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "one").glob("*/*")}
+    assert written == PINNED_OUTPUTS["construct"]
     csv_rows = (tmp_path / "one/fig2a/fig2a.csv").read_text().splitlines()
     assert len(csv_rows) - 1 == 401 * 201  # header plus one row per sample
+
+
+def test_audit_reports_have_their_pinned_bytes():
+    """Each valid preset's ``audit --seed 7`` prints its pinned bytes."""
+    runner = CliRunner()
+    printed = {}
+    for name in io.preset_names():
+        if name != "fig5c":
+            result = runner.invoke(cli_main, ["audit", name, "--seed", "7"])
+            assert result.exit_code == 0, (name, result.output)
+            printed[name] = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert printed == PINNED_OUTPUTS["audit --seed 7"]

@@ -3,7 +3,8 @@ import decimal
 import mpmath
 import pytest
 
-from kundunls import _mathctx, verification
+from kundunls import _mathctx, reconstruct, simple_pole, verification
+from kundunls.spectrum import derive_orbit
 from kundunls.verification import _evaluator, pde_residual
 
 DIGITS = verification.RESIDUAL_DPS
@@ -86,6 +87,42 @@ def test_real_values_order_against_floats_and_print_as_mpmath():
     assert float(DEC.real(0.1)) == 0.1 and complex(DEC.convert(1 - 2j)) == 1 - 2j
     with pytest.raises(TypeError):
         float(DEC.convert(1 - 2j))
+
+
+@pytest.mark.parametrize("value", [0, -1, 3, 2 ** 70, -2.75, 0.1, 1e300, 0.1 + 0.2j, -1j,
+                                   complex(-1, -1), decimal.Decimal("1.25")])
+def test_equal_numbers_hash_alike(value):
+    """A scalar equals the number it converts and hashes as that number does."""
+    z = DEC.convert(value)
+    assert z == value and hash(z) == hash(value)
+
+
+def test_a_real_value_hashes_as_its_real_part():
+    one = {DEC.real(1), DEC.convert(1 + 0j), 1, 1.0, 1 + 0j, decimal.Decimal(1)}
+    assert len(one) == 1
+    third = DEC.real(1) / 3
+    assert hash(third) == hash(third.re)
+    assert hash(DEC.convert(0.5 - 2j)) == hash(0.5 - 2j) != hash(DEC.real(0.5))
+
+
+def test_a_coordinate_computed_twice_hits_one_table_entry(fig4a):
+    """The weight factors of a coordinate are keyed on its value: the same x
+    and t computed anew find the factors the first evaluation tabled."""
+    orbit = derive_orbit(fig4a, ctx=DEC)
+    h = DEC.real(verification.RESIDUAL_H)
+
+    def q():  # one stencil point, its coordinates computed afresh
+        return simple_pole.evaluate_q(orbit, DEC.real(0.3) + 2 * h, DEC.real(-0.7) - h,
+                                      ctx=DEC, check_condition=False)
+
+    first = q()
+    wc = reconstruct.prepared(orbit, DEC, simple_pole._constants)[0]
+    tables = (wc.x_factors, wc.t_factors)
+    assert [len(table) for table in tables] == [1, 1]
+    factors = [list(table.values())[0] for table in tables]
+    assert q() == first
+    assert [len(table) for table in tables] == [1, 1]
+    assert all(list(table.values())[0] is f for table, f in zip(tables, factors))
 
 
 #: The sweep node (i, j) of each config's largest residual, as

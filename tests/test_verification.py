@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 import threading
 
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 
 import oracles
 from probes import opposite_sign_evaluator, peak_locations
-from kundunls import _mathctx, io, verification
+from kundunls import _mathctx, io, reconstruct, verification
 from kundunls.errors import PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import (EvolutionSetup, boundary_errors, boundary_window,
@@ -89,25 +90,50 @@ def test_residual_sweep_matches_pinned_values(request, name):
     assert r == pytest.approx(PINNED_SWEEP_N3[name], rel=1e-12)
 
 
+def _oracle_q(cfg, x, t):
+    """The independent dps-50 field of cfg at (x, t)."""
+    zs = [e.z for e in cfg.eigenvalues]
+    As = [e.A_plus for e in cfg.eigenvalues]
+    if cfg.pole_order is PoleOrder.DOUBLE:
+        return oracles.double_q(cfg.q_minus, zs, As, [e.B_plus for e in cfg.eigenvalues],
+                                x, t)
+    return oracles.simple_q(cfg.q_minus, zs, As, x, t)
+
+
 @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig7a"])
 def test_sweep_evaluator_matches_oracle(request, name):
     """The 40-digit route of the sweep agrees with the independent dps-50 oracle."""
     cfg = request.getfixturevalue(name)
     ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
     evaluator, _ = _evaluator(cfg, "a", ctx)
-    zs = [e.z for e in cfg.eigenvalues]
-    As = [e.A_plus for e in cfg.eigenvalues]
     rng = random.Random(29)
     for _ in range(4):
         x, t = rng.uniform(-5, 5), rng.uniform(-3, 3)
         got = evaluator(ctx.real(x), ctx.real(t))
-        if cfg.pole_order is PoleOrder.DOUBLE:
-            ref = oracles.double_q(cfg.q_minus, zs, As, [e.B_plus for e in cfg.eigenvalues],
-                                   x, t)
-        else:
-            ref = oracles.simple_q(cfg.q_minus, zs, As, x, t)
         with mpmath.workdps(50):
-            assert abs(mpmath.mpc(str(got.re), str(got.im)) - ref) < 1e-30
+            assert abs(mpmath.mpc(str(got.re), str(got.im)) - _oracle_q(cfg, x, t)) < 1e-30
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig7a"])
+@pytest.mark.parametrize("x", [-1000.0, -30.0, 30.0, 1000.0])
+def test_unscaled_weights_hold_far_out_on_the_background(request, name, x):
+    """The 40-digit route carries its weights unscaled, also at |x| = 1000,
+    where they leave double range (a weight above it at x = 1000, all below
+    its smallest normal at x = -1000) and the float route needs its column
+    shift; q still agrees with the oracle to 1e-30, relative."""
+    cfg = request.getfixturevalue(name)
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
+    evaluator, orbit = _evaluator(cfg, "a", ctx)
+    xd, td = ctx.real(x), ctx.real(0.4)
+    got = evaluator(xd, td)
+    w, scales, _ = reconstruct.column_weights(
+        reconstruct.weight_constants(orbit, ctx), xd, td, ctx)
+    assert scales == [1] * len(w)
+    in_double = [sys.float_info.min < abs(wj) < sys.float_info.max for wj in w]
+    assert all(in_double) == (abs(x) != 1000)
+    ref = _oracle_q(cfg, x, 0.4)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpc(str(got.re), str(got.im)) - ref) < 1e-30 * abs(ref)
 
 
 def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
@@ -124,6 +150,23 @@ def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
     monkeypatch.setattr(ctx, "log", counted)
     residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3)
     assert len(calls) == 2 * fig4a.N
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig7a"])
+def test_sweep_exponentials_follow_the_coordinates(request, monkeypatch, name):
+    """A serial n = 3 sweep evaluates the field at 81 points, which share 15 x
+    and 15 t values (3 nodes and their four stencil neighbours per axis).
+    Each of the 2N weights takes one exponential per distinct x and one per
+    distinct t, and deriving the orbit takes one more: 121 for fig4a and 61
+    for fig7a, where one per weight and evaluation made 649 and 325."""
+    cfg = request.getfixturevalue(name)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
+    calls = []
+    exp = ctx.exp
+    monkeypatch.setattr(ctx, "exp", lambda z: calls.append(z) or exp(z))
+    residual_sweep(cfg, ACCEPTANCE_WINDOW, n=3)
+    assert len(calls) == 2 * cfg.N * (15 + 15) + 1 == {"fig4a": 121, "fig7a": 61}[name]
 
 
 def _nan_at(node):
