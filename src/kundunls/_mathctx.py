@@ -8,7 +8,9 @@ process.  ``decimal_context(digits)`` carries a fixed number of significant
 decimal digits on the C-backed ``decimal`` module; the residual sweep runs in
 it, where stencil differencing would otherwise be limited by double roundoff.
 Its exponent range is decimal's widest, so it alone is ``wide_range``, and
-its scalars hash like numbers, so they can key tables.
+its scalars hash like numbers, so they can key tables.  It alone has a
+``batch`` type: the values of many points as lists of ``Decimal`` parts, each
+operation a few ``map`` calls over those lists, with the scalar's bits.
 ``mp_context(dps)`` is the same kind of context on pure-Python mpmath, several
 times slower; no command runs it.
 """
@@ -16,10 +18,12 @@ times slower; no command runs it.
 import cmath
 import functools
 import math
+import operator
 
 
 class MathContext:
-    def __init__(self, convert, exp, log, arg, name, real=float, wide_range=False):
+    def __init__(self, convert, exp, log, arg, name, real=float, wide_range=False,
+                 batch=None):
         self.convert = convert  # python complex -> context scalar
         self.exp = exp
         self.log = log
@@ -28,6 +32,7 @@ class MathContext:
         self.real = real  # python float -> context real scalar
         self.i = convert(1j)
         self.wide_range = wide_range  # weights need no column shift; decimal only
+        self.batch = batch  # the type of a batch of points; decimal only
 
     def __repr__(self):
         return f"MathContext({self.name})"
@@ -66,7 +71,10 @@ def decimal_context(digits=40):
     20 bits beyond ``digits`` and round once on the way back.  The exponent
     range is decimal's widest, so unscaled weights stay representable far out
     on the background (``wide_range``); past it, ``decimal.Overflow``.  A
-    scalar hashes as an equal int, float, complex or Decimal does."""
+    scalar hashes as an equal int, float, complex or Decimal does.  The
+    context's ``batch`` type carries the values of many points at once and
+    gives each the bits it has as a scalar; an operation of a scalar with a
+    batch is the batch's."""
     # imported here, so that commands without a residual sweep do not pay for them
     import decimal
 
@@ -77,6 +85,8 @@ def decimal_context(digits=40):
                                  decimal.Overflow])
     add, sub, mul, div = dec.add, dec.subtract, dec.multiply, dec.divide
     Decimal, from_float = decimal.Decimal, decimal.Decimal.from_float
+    localcontext, negated = decimal.localcontext, Decimal.copy_negate
+    plus, minus, times, over = operator.add, operator.sub, operator.mul, operator.truediv
     zero = Decimal(0)
     bits = math.ceil(digits * math.log2(10)) + 20
 
@@ -115,18 +125,30 @@ def decimal_context(digits=40):
         def __init__(self, re, im=zero):
             self.re, self.im = re, im
 
+        # an operation with a batch is the batch's, which gives a batch
         def __add__(self, other):
+            if type(other) is DecimalBatch:
+                return NotImplemented
             c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
             return DecimalComplex(add(self.re, c), add(self.im, d))
 
         def __sub__(self, other):
+            if type(other) is DecimalBatch:
+                return NotImplemented
             c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
             return DecimalComplex(sub(self.re, c), sub(self.im, d))
 
         def __mul__(self, other):
+            if type(other) is DecimalBatch:
+                return NotImplemented
             c, d = (other.re, other.im) if type(other) is DecimalComplex else parts(other)
             a, b = self.re, self.im
             return DecimalComplex(sub(mul(a, c), mul(b, d)), add(mul(a, d), mul(b, c)))
+
+        def __truediv__(self, other):
+            if type(other) is DecimalBatch:
+                return NotImplemented
+            return quotient(self.re, self.im, *parts(other))
 
         def __str__(self):
             if not self.im:
@@ -141,7 +163,6 @@ def decimal_context(digits=40):
         # a complex value raises TypeError, as float(complex) does
         __float__ = lambda self: float(complex(self) if self.im else self.re)
         __rsub__ = lambda self, other: -self + other
-        __truediv__ = lambda self, other: quotient(self.re, self.im, *parts(other))
         __rtruediv__ = lambda self, other: quotient(*parts(other), self.re, self.im)
         __pow__ = lambda self, n: functools.reduce(DecimalComplex.__mul__, [self] * n)
         __neg__ = lambda self: DecimalComplex(self.re.copy_negate(), self.im.copy_negate())
@@ -156,6 +177,111 @@ def decimal_context(digits=40):
         __le__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (-1, 0)
         __ge__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (0, 1)
 
+    def lists(v, n):  # the parts of an operand, a scalar's at each of n points
+        if type(v) is DecimalBatch:
+            return v.re, v.im
+        c, d = parts(v)
+        return [c] * n, [d] * n
+
+    def quotients(a, b, divisor):  # quotient's arithmetic at every point, on lists
+        c, d = lists(divisor, len(a))
+        if all(d):  # every divisor with an imaginary part
+            with localcontext(dec):
+                if type(divisor) is DecimalBatch:
+                    den = list(map(plus, map(times, c, c), map(times, d, d)))
+                else:  # one divisor, so one c^2 + d^2
+                    den = [add(mul(c[0], c[0]), mul(d[0], d[0]))] * len(a)
+                return DecimalBatch(
+                    list(map(over, map(plus, map(times, a, c), map(times, b, d)), den)),
+                    list(map(over, map(minus, map(times, b, c), map(times, a, d)), den)))
+        if not any(d):  # every divisor real
+            with localcontext(dec):
+                return DecimalBatch(list(map(over, a, c)), list(map(over, b, c)))
+        return DecimalBatch.of(map(quotient, a, b, c, d))
+
+    class DecimalBatch:
+        """The values of several points: their ``re`` and ``im`` parts as two
+        lists of Decimal.  Each operation is DecimalComplex's, point by point
+        and in its order, by Decimal operators under
+        ``decimal.localcontext(dec)``, which round as ``dec``'s methods do; so
+        a batch holds the bits of its points taken one at a time, whatever the
+        thread's context.  A scalar or number operand applies at every point."""
+
+        __slots__ = ("re", "im")
+
+        def __init__(self, re, im):
+            self.re, self.im = re, im
+
+        @staticmethod
+        def of(values):
+            """The batch of the given scalars or numbers, one per point."""
+            re, im = zip(*map(parts, values))
+            return DecimalBatch(list(re), list(im))
+
+        @staticmethod
+        def swap(mask, a, b):
+            """(a, b) with their values interchanged at the points where mask
+            holds; either may be a scalar."""
+            old_a, old_b = lists(a, len(mask)), lists(b, len(mask))
+            new_a, new_b = [list(v) for v in old_a], [list(v) for v in old_b]
+            for p in [p for p, m in enumerate(mask) if m]:
+                for na, nb, oa, ob in zip(new_a, new_b, old_a, old_b):  # re, then im
+                    na[p], nb[p] = ob[p], oa[p]
+            return DecimalBatch(*new_a), DecimalBatch(*new_b)
+
+        def points(self):
+            return list(map(DecimalComplex, self.re, self.im))
+
+        def nonzero(self):
+            """value != 0 at every point."""
+            return [bool(a or b) for a, b in zip(self.re, self.im)]
+
+        def magnitudes(self):
+            """abs(complex(value)) at every point: the magnitude in double."""
+            return list(map(abs, map(complex, map(float, self.re), map(float, self.im))))
+
+        def __len__(self):
+            return len(self.re)
+
+        def __getitem__(self, points):  # a slice of the points
+            return DecimalBatch(self.re[points], self.im[points])
+
+        def __add__(self, other):
+            c, d = lists(other, len(self.re))
+            with localcontext(dec):
+                return DecimalBatch(list(map(plus, self.re, c)), list(map(plus, self.im, d)))
+
+        def __sub__(self, other):
+            c, d = lists(other, len(self.re))
+            with localcontext(dec):
+                return DecimalBatch(list(map(minus, self.re, c)), list(map(minus, self.im, d)))
+
+        def __rsub__(self, other):
+            a, b = lists(other, len(self.re))
+            with localcontext(dec):
+                return DecimalBatch(list(map(minus, a, self.re)), list(map(minus, b, self.im)))
+
+        def __mul__(self, other):
+            (a, b), (c, d) = (self.re, self.im), lists(other, len(self.re))
+            with localcontext(dec):
+                return DecimalBatch(list(map(minus, map(times, a, c), map(times, b, d))),
+                                    list(map(plus, map(times, a, d), map(times, b, c))))
+
+        def __abs__(self):
+            a, b = self.re, self.im
+            with localcontext(dec):
+                return DecimalBatch(
+                    list(map(Decimal.sqrt, map(plus, map(times, a, a), map(times, b, b)))),
+                    [zero] * len(a))
+
+        __radd__, __rmul__ = __add__, __mul__
+        __truediv__ = lambda self, other: quotients(self.re, self.im, other)
+        __rtruediv__ = lambda self, other: quotients(*lists(other, len(self.re)), self)
+        __neg__ = lambda self: DecimalBatch(list(map(negated, self.re)),
+                                            list(map(negated, self.im)))
+        conjugate = lambda self: DecimalBatch(self.re, list(map(negated, self.im)))
+        real = property(lambda self: DecimalBatch(self.re, [zero] * len(self.re)))
+
     def through_libmp(f):  # f on the parts as libmp numbers, giving the result's parts
         return lambda z: DecimalComplex(*map(from_mpf, f(*map(to_mpf, parts(z)))))
 
@@ -164,4 +290,4 @@ def decimal_context(digits=40):
     arg = through_libmp(lambda re, im: (libmp.mpf_atan2(im, re, bits),))
     return MathContext(lambda v: DecimalComplex(*parts(v)), exp, log, arg,
                        f"decimal-{digits}", real=lambda v: DecimalComplex(parts(v)[0]),
-                       wide_range=True)
+                       wide_range=True, batch=DecimalBatch)

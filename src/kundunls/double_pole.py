@@ -54,10 +54,11 @@ def build(orbit: OrbitTable, x, t, ctx):
     mu_n), which is q_minus - i r^T y.
     """
     const = reconstruct.prepared(orbit, ctx, _constants)
-    w, csc, ys = reconstruct.column_weights(const.weights, x, t, ctx)
+    w, csc = reconstruct.column_weights(const.weights, x, t, ctx)
     two_i = const.weights.two_i
     dh = [bm + two_i * (lp * y - lk * t)
-          for bm, lp, lk, y in zip(orbit.B_minus_xihat, const.lam_p, const.two_lam_kp, ys)]
+          for bm, lp, lk, y in zip(orbit.B_minus_xihat, const.lam_p, const.two_lam_kp,
+                                   reconstruct.offsets(const.weights, x, t))]
     top, bottom = [], []
     for s, (ds, inv_ds, two_ds, (k1, k2, k3)) in enumerate(
             zip(const.d, const.inv_d, const.two_d, const.diag)):

@@ -2,9 +2,12 @@
 
 A matrix is a plain list of equal-length rows.  Row-oriented LU with partial
 pivoting, written over generic complex scalars so the same factorization runs
-in double precision or at the residual sweep's 40 digits.  Sizes stay tiny
-(4N x 4N with N the number of eigenvalues), so there is no reason to reach
-past plain Python here.
+in double precision or at the residual sweep's 40 digits.  Every entry may
+instead be a batch of a context (``MathContext.batch``): the same entry of
+many points' matrices, factorized at once, where each point pivots by the
+scalar rule on its own.  Sizes stay tiny (4N x 4N with N the number of
+eigenvalues); the 40-digit sweep is fast because it batches points, not
+because of an array library.
 """
 
 from dataclasses import dataclass
@@ -16,18 +19,25 @@ PIVOT_UNDERFLOW = 1e-300
 
 @dataclass
 class LUFactorization:
-    """Compact LU with the row permutation applied during elimination."""
+    """Compact LU; ``pivots[k]`` is the row interchanged with row k at step k,
+    or, where the points of a batch chose different rows, each point's row."""
 
     n: int
     lu: list
-    perm: list
-    perm_sign: int
+    pivots: list
 
     def solve(self, b):
         n = self.n
         if len(b) != n:
             raise ValueError("right-hand side length mismatch")
-        x = [b[p] for p in self.perm]
+        x = list(b)
+        for k, piv in enumerate(self.pivots):
+            if type(piv) is list:
+                swap = type(self.lu[k][k]).swap
+                for r, mask in _point_rows(piv, k):
+                    x[k], x[r] = swap(mask, x[k], x[r])
+            elif piv != k:
+                x[k], x[piv] = x[piv], x[k]
         for i in range(n):  # forward substitution, unit lower triangle
             row = self.lu[i]
             acc = x[i]
@@ -43,42 +53,73 @@ class LUFactorization:
         return x
 
     def det(self):
-        d = 1.0 * self.perm_sign
+        if any(type(piv) is list for piv in self.pivots):
+            raise ValueError("the points of the batch were permuted differently")
+        d = (-1.0) ** sum(piv != k for k, piv in enumerate(self.pivots))
         for i in range(self.n):
             d = d * self.lu[i][i]
         return d
 
 
+def _first_largest(mags, k) -> int:
+    """The index of the first largest of mags, column k's magnitudes from the
+    diagonal down; SingularMatrix where that one underflows."""
+    p = 0
+    for i in range(1, len(mags)):
+        if mags[i] > mags[p]:
+            p = i
+    if mags[p] < PIVOT_UNDERFLOW:
+        raise SingularMatrix(f"pivot magnitude {mags[p]:.3e} at column {k}")
+    return p
+
+
+def _point_rows(pivots, k):
+    """[(r, mask)] for each row r other than k that points pivot on; mask
+    marks those points."""
+    return [(r, [p == r for p in pivots]) for r in sorted(set(pivots) - {k})]
+
+
 def lu_factor(rows) -> LUFactorization:
-    """LU with partial pivoting of a square matrix given as a list of rows."""
+    """LU with partial pivoting of a square matrix given as a list of rows,
+    its entries all scalars or all batches."""
     n = len(rows)
     lu = [list(r) for r in rows]
-    perm = list(range(n))
-    sign = 1
+    batch = n > 0 and hasattr(lu[0][0], "magnitudes")
+    pivots = []
     for k in range(n):
         # magnitudes compared in double: in multiprecision a full-precision hypot
-        # per candidate would cost several times the conversion
-        piv, pmag = k, abs(complex(lu[k][k]))
-        for i in range(k + 1, n):
-            m = abs(complex(lu[i][k]))
-            if m > pmag:
-                piv, pmag = i, m
-        if pmag < PIVOT_UNDERFLOW:
-            raise SingularMatrix(f"pivot magnitude {pmag:.3e} at column {k}")
-        if piv != k:
+        # per candidate would cost several times the conversion; the first
+        # largest wins, at each point of a batch on its own
+        if not batch:
+            piv = k + _first_largest([abs(complex(lu[i][k])) for i in range(k, n)], k)
+        else:
+            piv = [k + _first_largest(mags, k)
+                   for mags in zip(*(lu[i][k].magnitudes() for i in range(k, n)))]
+            if piv.count(piv[0]) == len(piv):  # one row for every point
+                piv = piv[0]
+        if type(piv) is list:
+            swap = type(lu[k][k]).swap
+            for r, mask in _point_rows(piv, k):
+                lu[k], lu[r] = map(list, zip(*(swap(mask, a, b)
+                                               for a, b in zip(lu[k], lu[r]))))
+        else:
             lu[k], lu[piv] = lu[piv], lu[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-            sign = -sign
+        pivots.append(piv)
         prow = lu[k]
         pval = prow[k]
         for i in range(k + 1, n):
             row = lu[i]
             f = row[k] / pval
             row[k] = f
-            if f != 0:
+            nonzero = f.nonzero() if batch else [f != 0]
+            if all(nonzero):
                 for j in range(k + 1, n):
                     row[j] = row[j] - f * prow[j]
-    return LUFactorization(n, lu, perm, sign)
+            elif any(nonzero):  # a batch's points where f is 0 keep their row
+                zero, swap = [not m for m in nonzero], type(f).swap
+                for j in range(k + 1, n):
+                    row[j] = swap(zero, row[j] - f * prow[j], row[j])[0]
+    return LUFactorization(n, lu, pivots)
 
 
 def det(rows):

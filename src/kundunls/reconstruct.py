@@ -3,7 +3,8 @@
 A pole module supplies ``build(orbit, x, t, ctx)`` returning ``(rows, rhs,
 r)``: the column-scaled system A y = b at one point and the reconstruction
 row r, so that q = q_minus - i r^T A^{-1} b.  This module owns the column
-scaling, the scalar LU solve route, the batched float route for grid rows,
+scaling, the generic LU solve route (scalars, or the 40-digit context's
+batches of points), the batched float route for grid rows,
 the bordered-determinant route (kept a separate code path), the
 near-singularity check and the per-point flags.
 
@@ -37,10 +38,11 @@ _SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 @dataclass(frozen=True)
 class WeightConstants:
     """The (x, t)-independent part of the weights w_j = A_minus[xi_hat_j]
-    e^{2 i theta(xi_hat_j)}, in one context: log A_minus[xi_hat_j],
-    lambda(xi_hat_j), 2 k(xi_hat_j) and 2 i; in a ``wide_range`` context also
-    A_minus[xi_hat_j], the rates 2 i lambda_j and -4 i lambda_j k_j and the
-    tables x -> [e^{2 i lambda_j x}], t -> [e^{-4 i lambda_j k_j t}]."""
+    e^{2 i theta(xi_hat_j)}, in one context: lambda(xi_hat_j), 2 k(xi_hat_j)
+    and 2 i; log A_minus[xi_hat_j] for the shifted weights, or, in a
+    ``wide_range`` context, which factors them instead, A_minus[xi_hat_j], the
+    rates 2 i lambda_j and -4 i lambda_j k_j and the tables
+    x -> [e^{2 i lambda_j x}], t -> [e^{-4 i lambda_j k_j t}]."""
 
     log_a: tuple
     lam: tuple
@@ -58,12 +60,13 @@ def weight_constants(orbit: OrbitTable, ctx) -> WeightConstants:
     lam = tuple(lambda_of_z(zh, q0) for zh in orbit.xi_hat)
     two_k = tuple(2 * k_of_z(zh, q0) for zh in orbit.xi_hat)
     two_i = 2 * ctx.i
-    wide = {} if not ctx.wide_range else dict(
-        a=tuple(orbit.A_minus_xihat), x_rate=tuple(two_i * lj for lj in lam),
-        t_rate=tuple(-(two_i * (lj * kj)) for lj, kj in zip(lam, two_k)),
-        x_factors={}, t_factors={})
-    return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat), lam, two_k,
-                           two_i, **wide)
+    if not ctx.wide_range:
+        return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat), lam, two_k,
+                               two_i)
+    return WeightConstants((), lam, two_k, two_i, a=tuple(orbit.A_minus_xihat),
+                           x_rate=tuple(two_i * lj for lj in lam),
+                           t_rate=tuple(-(two_i * (lj * kj)) for lj, kj in zip(lam, two_k)),
+                           x_factors={}, t_factors={})
 
 
 def prepared(orbit: OrbitTable, ctx, make):
@@ -87,27 +90,37 @@ def _shift(lw):
 
 
 def _factors(table: dict, rates, coord, ctx):
-    """[e^{rate_j coord}], computed once per coordinate value."""
-    if coord not in table:
-        table[coord] = [ctx.exp(rate * coord) for rate in rates]
-    return table[coord]
+    """[e^{rate_j coord}], computed once per coordinate value; for a batch of
+    coordinates, one batch per rate, gathered from each point's entry."""
+    if type(coord) is ctx.batch:
+        points = [_factors(table, rates, c, ctx) for c in coord.points()]
+        return [ctx.batch.of(column) for column in zip(*points)]
+    found = table.get(coord)
+    if found is None:
+        found = table[coord] = [ctx.exp(rate * coord) for rate in rates]
+    return found
+
+
+def offsets(wc: WeightConstants, x, t):
+    """[x - 2 k_j t]."""
+    return [x - two_k * t for two_k in wc.two_k]
 
 
 def column_weights(wc: WeightConstants, x, t, ctx):
-    """(w_j e^{-m_j}, e^{-m_j}, x - 2 k_j t) with m_j = max(Re log w_j, 0);
+    """(w_j e^{-m_j}, e^{-m_j}) with m_j = max(Re log w_j, 0);
     log w_j = log A_j + 2 i lambda_j (x - 2 k_j t).  The shift is a double
     precision device: a ``wide_range`` context takes m_j = 0 and the factored
     w_j = A_j e^{2 i lambda_j x} e^{-4 i lambda_j k_j t} instead."""
-    ys = [x - two_k * t for two_k in wc.two_k]
     if ctx.wide_range:
         ex = _factors(wc.x_factors, wc.x_rate, x, ctx)
         et = _factors(wc.t_factors, wc.t_rate, t, ctx)
         return ([aj * (exj * etj) for aj, exj, etj in zip(wc.a, ex, et)],
-                [ctx.convert(1)] * len(ys), ys)
-    logw = [log_a + wc.two_i * (lam * y) for log_a, lam, y in zip(wc.log_a, wc.lam, ys)]
+                [ctx.convert(1)] * len(wc.a))
+    logw = [log_a + wc.two_i * (lam * y)
+            for log_a, lam, y in zip(wc.log_a, wc.lam, offsets(wc, x, t))]
     shifts = [_shift(lw) for lw in logw]
     return ([ctx.exp(lw - m) for lw, m in zip(logw, shifts)],
-            [ctx.exp(ctx.convert(-m)) for m in shifts], ys)
+            [ctx.exp(ctx.convert(-m)) for m in shifts])
 
 
 def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT):
@@ -130,10 +143,12 @@ def evaluate_q_det(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FL
 def evaluate_q(build, orbit: OrbitTable, x: float, t: float, ctx=_mathctx.FLOAT,
                check_condition=True):
     """Scattering-side field q(x, t) under any context, by the generic LU;
-    warns when the system is near singular."""
+    warns when the system is near singular.  x and t may be batches of a
+    context that has them, one coordinate per point, for a batch of q without
+    the condition check."""
     qm = ctx.convert(orbit.q_minus)
     if not orbit.xi:
-        return qm
+        return qm if type(x) is not ctx.batch else ctx.batch.of([qm] * len(x))
     rows, rhs, r = build(orbit, x, t, ctx)
     try:
         fac = linalg.lu_factor(rows)

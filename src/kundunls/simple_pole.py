@@ -35,7 +35,7 @@ def build(orbit: OrbitTable, x, t, ctx):
     G mu = -v and q = q_minus + i w^T mu, so q = q_minus - i w^T G^{-1} v.
     """
     wc, v, d = reconstruct.prepared(orbit, ctx, _constants)
-    w, c, _ = reconstruct.column_weights(wc, x, t, ctx)
+    w, c = reconstruct.column_weights(wc, x, t, ctx)
     rows = []
     for s, ds in enumerate(d):
         row = [wj / dj for wj, dj in zip(w, ds)]

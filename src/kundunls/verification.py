@@ -35,6 +35,8 @@ DEFAULT_GATES = {"residual": 1e-6, "boundary": 1e-6, "evolution": 1e-5}
 RESIDUAL_WINDOW = (-5.0, 5.0, -3.0, 3.0)
 RESIDUAL_N = 21
 RESIDUAL_H = 1e-3
+#: The stencil points' offsets from a node, in steps h, along either axis.
+STENCIL_STEPS = (-2, -1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,18 @@ def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
     at the exact stencil points, no interpolation.
     """
     try:
-        qc = field_evaluator(x, t)
-        qx = [field_evaluator(x + k * h, t) for k in (-2, -1, 1, 2)]
-        qt = [field_evaluator(x, t + k * h) for k in (-2, -1, 1, 2)]
+        q = [field_evaluator(*point) for point in _stencil_points([x], t, h)]
     except Exception as exc:
         raise StencilEvaluationFailure(
             f"stencil around (x={x}, t={t}, h={h}): {exc}"
         ) from exc
+    return _stencil_residual(q[0], q[1:5], q[5:], h, cfg, ctx)
+
+
+def _stencil_residual(qc, qx, qt, h, cfg: SpectralConfig, ctx):
+    """R(q) from q at a node (qc) and at its x and t stencil points (qx, qt,
+    in the order of ``STENCIL_STEPS``); each a value, or a batch of values at
+    many nodes."""
     q_xx = (-qx[0] + 16 * qx[1] - 30 * qc + 16 * qx[2] - qx[3]) / (12 * h * h)
     q_t = (qt[0] - 8 * qt[1] + 8 * qt[2] - qt[3]) / (12 * h)
     mod2 = (qc * qc.conjugate()).real
@@ -132,7 +139,8 @@ def pde_residual(field_evaluator, cfg: SpectralConfig, x, t, h,
 
 
 def _evaluator(cfg: SpectralConfig, convention: str, ctx=_mathctx.FLOAT):
-    """Pointwise evaluator q(x, t) in ``ctx``, plus the orbit it uses."""
+    """Pointwise evaluator q(x, t) in ``ctx``, plus the orbit it uses; where
+    ``ctx`` has batches, x and t may be batches of points, for a batch of q."""
     orbit = derive_orbit(cfg, convention, ctx=ctx)
     point = POLE_MODULES[cfg.pole_order].evaluate_q
 
@@ -149,6 +157,13 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     significant digits in C-backed ``decimal`` arithmetic.  The stencils' 9 n^2
     field evaluations (3,969 at n = 21) share 5 n x and 5 n t values (105), so
     the orbit tables each weight factor once per coordinate value.
+
+    Each t row's 9 n stencil points (189) are evaluated as one batch of that
+    context: every operation runs over the lists of their Decimal parts, and
+    each point pivots on its own, so every value has the bits of the
+    point-by-point ``pde_residual``.  Where the batch raises, the row is
+    evaluated point by point, so that the ``StencilEvaluationFailure`` names
+    the first stencil that fails.
 
     The t rows are spread over forked worker processes, one per CPU the
     process may use and at most one per row (see ``_sweep_workers``).  Each
@@ -170,8 +185,16 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     hh = real(h)
 
     def row(i):
-        return [float(abs(pde_residual(evaluator, cfg, x, ts[i], hh, ctx=ctx)))
-                for x in xs]
+        t = ts[i]
+        try:
+            q = evaluator(*map(ctx.batch.of, zip(*_stencil_points(xs, t, hh))))
+        except Exception:
+            for x in xs:  # raises at the first stencil that fails
+                pde_residual(evaluator, cfg, x, t, hh, ctx=ctx)
+            raise
+        groups = [q[j * n:(j + 1) * n] for j in range(9)]
+        r = _stencil_residual(groups[0], groups[1:5], groups[5:], hh, cfg, ctx)
+        return list(map(float, abs(r).re))
 
     workers = _sweep_workers(n)
     if workers == 1:
@@ -185,6 +208,14 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     # a NaN anywhere is the maximum, so a non-finite residual fails the gate;
     # max alone would drop a NaN that is not first
     return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _stencil_points(xs, t, h) -> list:
+    """The points (x, t) at which ``pde_residual`` evaluates the field for
+    the nodes (x, t), x in xs: the nodes, then their x and then their t
+    stencil points, one offset of ``STENCIL_STEPS`` after the other."""
+    return ([(x, t) for x in xs] + [(x + k * h, t) for k in STENCIL_STEPS for x in xs]
+            + [(x, t + k * h) for k in STENCIL_STEPS for x in xs])
 
 
 def _sweep_workers(n_rows: int) -> int:

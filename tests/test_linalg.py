@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from kundunls._mathctx import decimal_context
 from kundunls.errors import SingularMatrix
 from kundunls.linalg import cond_estimate, det, lu_factor
 
@@ -73,6 +74,32 @@ def test_singular_matrix_raises():
 def test_permutation_sign_in_det():
     rows = [[0j, 1 + 0j], [1 + 0j, 0j]]
     assert abs(det(rows) + 1) < 1e-15
+
+
+def test_a_batch_pivots_each_point_on_its_own():
+    """Twelve 40-digit matrices factorized as one batch pivot in more than one
+    order, and each point gets the pivots, factors and solution of its own
+    scalar factorization, also the point whose multiplier in row 1 is 0; a
+    batch permuted differently by point has no one determinant sign."""
+    ctx = decimal_context(40)
+    rng = random.Random(11)
+    n = 4
+    mats = [random_matrix(rng, n) for _ in range(12)]
+    mats[1][0][0], mats[1][1][0] = 10 + 0j, 0j
+    rhs = [ctx.convert(complex(rng.gauss(0, 1), rng.gauss(0, 1))) for _ in range(n)]
+    scalars = [[[ctx.convert(v) for v in row] for row in m] for m in mats]
+    fac = lu_factor([[ctx.batch.of([m[i][j] for m in scalars]) for j in range(n)]
+                     for i in range(n)])
+    x = fac.solve(rhs)
+    refs = [lu_factor(m) for m in scalars]
+    assert len({tuple(ref.pivots) for ref in refs}) > 1
+    for p, ref in enumerate(refs):
+        assert [piv if type(piv) is int else piv[p] for piv in fac.pivots] == ref.pivots
+        for batch_row, ref_row in zip(fac.lu, ref.lu):
+            assert [(v.re[p], v.im[p]) for v in batch_row] == [(v.re, v.im) for v in ref_row]
+        assert [(v.re[p], v.im[p]) for v in x] == [(v.re, v.im) for v in ref.solve(rhs)]
+    with pytest.raises(ValueError, match="permuted differently"):
+        fac.det()
 
 
 def test_cond_estimate_within_factor_of_true_condition():

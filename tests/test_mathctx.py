@@ -1,4 +1,5 @@
 import decimal
+import operator
 
 import mpmath
 import pytest
@@ -123,6 +124,35 @@ def test_a_coordinate_computed_twice_hits_one_table_entry(fig4a):
     assert q() == first
     assert [len(table) for table in tables] == [1, 1]
     assert all(list(table.values())[0] is f for table, f in zip(tables, factors))
+
+
+def test_batch_operations_have_the_scalar_bits():
+    """Each operation of a batch gives every point the Decimal parts of the
+    scalar operation, with a batch, a scalar or a number on either side, by
+    divisors real at every point, complex at every point or mixed, and
+    whatever the thread's context."""
+    values = [DEC.convert(z) for z in ARGUMENTS] + [DEC.real(1) / 3 + DEC.i * 7]
+    others = values[::-1]  # real at some points, complex at others
+    a, b = DEC.batch.of(values), DEC.batch.of(others)
+    complex_b = b + DEC.i / 1000
+    scalar = DEC.real(2) / 3 - DEC.i / 7
+
+    def parts(batch):
+        return list(zip(batch.re, batch.im))
+
+    def check():
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for other, each in [(b, others), (complex_b, complex_b.points()),
+                                (scalar, [scalar] * len(values)), (3, [3] * len(values)),
+                                (-2.5, [-2.5] * len(values))]:
+                assert parts(op(a, other)) == [(z.re, z.im) for z in map(op, values, each)]
+                assert parts(op(other, a)) == [(z.re, z.im) for z in map(op, each, values)]
+        for op in (operator.neg, abs, lambda z: z.conjugate(), lambda z: z.real):
+            assert parts(op(a)) == [(z.re, z.im) for z in map(op, values)]
+
+    check()
+    with decimal.localcontext(decimal.Context(prec=6)):
+        check()
 
 
 #: The sweep node (i, j) of each config's largest residual, as

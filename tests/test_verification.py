@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import oracles
 from probes import opposite_sign_evaluator, peak_locations
-from kundunls import _mathctx, io, reconstruct, verification
+from kundunls import _mathctx, io, linalg, reconstruct, verification
 from kundunls.errors import PeriodicIncompatible, StencilEvaluationFailure
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import (EvolutionSetup, boundary_errors, boundary_window,
@@ -126,7 +127,7 @@ def test_unscaled_weights_hold_far_out_on_the_background(request, name, x):
     evaluator, orbit = _evaluator(cfg, "a", ctx)
     xd, td = ctx.real(x), ctx.real(0.4)
     got = evaluator(xd, td)
-    w, scales, _ = reconstruct.column_weights(
+    w, scales = reconstruct.column_weights(
         reconstruct.weight_constants(orbit, ctx), xd, td, ctx)
     assert scales == [1] * len(w)
     in_double = [sys.float_info.min < abs(wj) < sys.float_info.max for wj in w]
@@ -137,8 +138,9 @@ def test_unscaled_weights_hold_far_out_on_the_background(request, name, x):
 
 
 def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
-    """log A_minus is taken once per mirror point and sweep, not once per
-    field evaluation: 2N calls to the context's log."""
+    """The 40-digit context factors its weights, which never read
+    log A_minus, so a sweep takes no log at all (it took 2N, once per mirror
+    point, and before that one per field evaluation)."""
     calls = []
     ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
     log = ctx.log
@@ -149,7 +151,7 @@ def test_residual_sweep_prepares_orbit_constants_once(monkeypatch, fig4a):
 
     monkeypatch.setattr(ctx, "log", counted)
     residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3)
-    assert len(calls) == 2 * fig4a.N
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["fig4a", "fig7a"])
@@ -169,17 +171,62 @@ def test_sweep_exponentials_follow_the_coordinates(request, monkeypatch, name):
     assert len(calls) == 2 * cfg.N * (15 + 15) + 1 == {"fig4a": 121, "fig7a": 61}[name]
 
 
+#: A sweep row (its index i in t) of each config, on RESIDUAL_WINDOW at
+#: RESIDUAL_N, whose stencil points pivot in more than one order
+MIXED_PIVOT_ROW = {"fig2a": 12, "fig4a": 10, "fig7a": 10}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PIVOT_ROW))
+def test_a_batched_row_has_the_scalar_bits_at_every_point(request, name):
+    """The 189 stencil points of one sweep row, evaluated as one batch, get
+    the Decimal parts of the scalar evaluate_q at every point, in a row whose
+    points pivot in at least two orders."""
+    cfg = request.getfixturevalue(name)
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
+    evaluator, orbit = _evaluator(cfg, "a", ctx)
+    x_min, x_max, t_min, t_max = (ctx.real(v) for v in verification.RESIDUAL_WINDOW)
+    n = verification.RESIDUAL_N
+    xs = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
+    t = t_min + (t_max - t_min) * MIXED_PIVOT_ROW[name] / (n - 1)
+    points = verification._stencil_points(xs, t, ctx.real(verification.RESIDUAL_H))
+    batch = evaluator(*map(ctx.batch.of, zip(*points)))
+    build = verification.POLE_MODULES[cfg.pole_order].build
+    orders = {tuple(linalg.lu_factor(build(orbit, x, tp, ctx)[0]).pivots)
+              for x, tp in points}
+    assert len(points) == 189 and len(orders) >= 2
+    assert list(zip(batch.re, batch.im)) == [(q.re, q.im) for q in
+                                             (evaluator(x, tp) for x, tp in points)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batched_sweep_ignores_the_callers_decimal_context(monkeypatch, fig4a, cpus):
+    """A sweep inside a 6-digit decimal context, in process or over forked
+    workers, which inherit it, has the bits of one outside it, and leaves
+    the caller's context at 6 digits."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    expected = residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3)
+    with decimal.localcontext(decimal.Context(prec=6)) as caller:
+        assert residual_sweep(fig4a, ACCEPTANCE_WINDOW, n=3) == expected
+        assert decimal.getcontext() is caller and caller.prec == 6
+
+
 def _nan_at(node):
-    """A stand-in for ``_evaluator`` whose field is NaN at the one point node."""
+    """A stand-in for ``_evaluator`` whose field is NaN at the one point node,
+    asked for alone or in a batch of points."""
     real = verification._evaluator
 
     def nan_at_node(cfg, convention, ctx=verification._mathctx.FLOAT):
         evaluator, orbit = real(cfg, convention, ctx)
+        nan = ctx.convert(complex("nan+nanj"))
 
         def patched(x, t):
-            if (x, t) == node:
-                return ctx.convert(complex("nan+nanj"))
-            return evaluator(x, t)
+            q = evaluator(x, t)
+            if type(x) is not ctx.batch:
+                return nan if (x, t) == node else q
+            for p, point in enumerate(zip(x.points(), t.points())):
+                if point == node:
+                    q.re[p], q.im[p] = nan.re, nan.im
+            return q
 
         return patched, orbit
 
@@ -274,7 +321,9 @@ def test_worker_failure_reaches_the_caller(fig2a, monkeypatch):
         evaluator, orbit = real(cfg, convention, ctx)
 
         def patched(x, t):
-            if t > 0.5:  # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW
+            # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW, asked for alone
+            # or in a batch of points
+            if any(tp > 0.5 for tp in (t.points() if type(t) is ctx.batch else [t])):
                 raise ZeroDivisionError(f"stand-in failure in process {os.getpid()}")
             return evaluator(x, t)
 
