@@ -7,10 +7,10 @@ values at once, for batched grid rows, and is built on first use, once per
 process.  ``decimal_context(digits)`` carries a fixed number of significant
 decimal digits on the C-backed ``decimal`` module; the residual sweep runs in
 it, where stencil differencing would otherwise be limited by double roundoff.
-Its exponent range is decimal's widest, so it alone is ``wide_range``, and
-its scalars hash like numbers, so they can key tables.  It alone has a
-``batch`` type: the values of many points as lists of ``Decimal`` parts, each
-operation a few ``map`` calls over those lists, with the scalar's bits.
+Its exponent range is decimal's widest, so it alone is ``wide_range``.  It
+alone has a ``batch`` type: the values of many points as lists of ``Decimal``
+parts, each operation a few ``map`` calls over those lists, with the scalar's
+bits.
 ``mp_context(dps)`` is the same kind of context on pure-Python mpmath, several
 times slower; no command runs it.
 """
@@ -66,15 +66,14 @@ def decimal_context(digits=40):
     """Complex scalars of two ``Decimal`` parts, ``re`` and ``im``, rounded to
     ``digits`` in one explicit ``decimal.Context``, never in the thread's
     ambient one (28 digits by default).  int, float, complex and Decimal
-    operands convert exactly; a real value (``im`` zero) orders against numbers
-    and prints as mpmath's does.  exp, log and arg run in ``mpmath.libmp`` at
-    20 bits beyond ``digits`` and round once on the way back.  The exponent
-    range is decimal's widest, so unscaled weights stay representable far out
-    on the background (``wide_range``); past it, ``decimal.Overflow``.  A
-    scalar hashes as an equal int, float, complex or Decimal does.  The
-    context's ``batch`` type carries the values of many points at once and
-    gives each the bits it has as a scalar; an operation of a scalar with a
-    batch is the batch's."""
+    operands convert exactly; a scalar equals the number it converts, and a
+    real value (``im`` zero) prints as mpmath's does.  exp, log and arg run in
+    ``mpmath.libmp`` at 20 bits beyond ``digits`` and round once on the way
+    back.  The exponent range is decimal's widest, so unscaled weights stay
+    representable far out on the background (``wide_range``); past it,
+    ``decimal.Overflow``.  The context's ``batch`` type carries the values of
+    many points at once and gives each the bits it has as a scalar; an
+    operation of a scalar with a batch is the batch's."""
     # imported here, so that commands without a residual sweep do not pay for them
     import decimal
 
@@ -157,9 +156,6 @@ def decimal_context(digits=40):
 
         __radd__, __rmul__, __repr__ = __add__, __mul__, __str__
         __eq__ = lambda self, other: (self.re, self.im) == parts(other)
-        # as the equal number: a real value as its Decimal, a complex one as
-        # complex(self), which equal scalars and an equal python complex share
-        __hash__ = lambda self: hash(complex(self) if self.im else self.re)
         # a complex value raises TypeError, as float(complex) does
         __float__ = lambda self: float(complex(self) if self.im else self.re)
         __rsub__ = lambda self, other: -self + other
@@ -171,11 +167,6 @@ def decimal_context(digits=40):
         __abs__ = lambda self: DecimalComplex(dec.sqrt(add(mul(self.re, self.re),
                                                            mul(self.im, self.im))))
         __complex__ = lambda self: complex(float(self.re), float(self.im))
-        # ordered by the real parts; dec.compare gives NaN where they are unordered
-        __lt__ = lambda self, other: dec.compare(self.re, parts(other)[0]) == -1
-        __gt__ = lambda self, other: dec.compare(self.re, parts(other)[0]) == 1
-        __le__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (-1, 0)
-        __ge__ = lambda self, other: dec.compare(self.re, parts(other)[0]) in (0, 1)
 
     def lists(v, n):  # the parts of an operand, a scalar's at each of n points
         if type(v) is DecimalBatch:
@@ -205,7 +196,9 @@ def decimal_context(digits=40):
         and in its order, by Decimal operators under
         ``decimal.localcontext(dec)``, which round as ``dec``'s methods do; so
         a batch holds the bits of its points taken one at a time, whatever the
-        thread's context.  A scalar or number operand applies at every point."""
+        thread's context.  A scalar or number operand applies at every point.
+        ``where`` picks each point's value from one of two operands, so that
+        each point can pivot on its own."""
 
         __slots__ = ("re", "im")
 
@@ -219,15 +212,12 @@ def decimal_context(digits=40):
             return DecimalBatch(list(re), list(im))
 
         @staticmethod
-        def swap(mask, a, b):
-            """(a, b) with their values interchanged at the points where mask
-            holds; either may be a scalar."""
-            old_a, old_b = lists(a, len(mask)), lists(b, len(mask))
-            new_a, new_b = [list(v) for v in old_a], [list(v) for v in old_b]
-            for p in [p for p, m in enumerate(mask) if m]:
-                for na, nb, oa, ob in zip(new_a, new_b, old_a, old_b):  # re, then im
-                    na[p], nb[p] = ob[p], oa[p]
-            return DecimalBatch(*new_a), DecimalBatch(*new_b)
+        def where(mask, a, b):
+            """b at the points where mask holds, a elsewhere; either may be a
+            scalar."""
+            (ar, ai), (br, bi) = lists(a, len(mask)), lists(b, len(mask))
+            return DecimalBatch([y if m else x for m, x, y in zip(mask, ar, br)],
+                                [y if m else x for m, x, y in zip(mask, ai, bi)])
 
         def points(self):
             return list(map(DecimalComplex, self.re, self.im))

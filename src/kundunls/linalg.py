@@ -33,9 +33,9 @@ class LUFactorization:
         x = list(b)
         for k, piv in enumerate(self.pivots):
             if type(piv) is list:
-                swap = type(self.lu[k][k]).swap
+                where = type(self.lu[k][k]).where
                 for r, mask in _point_rows(piv, k):
-                    x[k], x[r] = swap(mask, x[k], x[r])
+                    x[k], x[r] = where(mask, x[k], x[r]), where(mask, x[r], x[k])
             elif piv != k:
                 x[k], x[piv] = x[piv], x[k]
         for i in range(n):  # forward substitution, unit lower triangle
@@ -98,10 +98,10 @@ def lu_factor(rows) -> LUFactorization:
             if piv.count(piv[0]) == len(piv):  # one row for every point
                 piv = piv[0]
         if type(piv) is list:
-            swap = type(lu[k][k]).swap
+            where = type(lu[k][k]).where
             for r, mask in _point_rows(piv, k):
-                lu[k], lu[r] = map(list, zip(*(swap(mask, a, b)
-                                               for a, b in zip(lu[k], lu[r]))))
+                lu[k], lu[r] = ([where(mask, a, b) for a, b in zip(lu[k], lu[r])],
+                                [where(mask, b, a) for a, b in zip(lu[k], lu[r])])
         else:
             lu[k], lu[piv] = lu[piv], lu[k]
         pivots.append(piv)
@@ -116,9 +116,9 @@ def lu_factor(rows) -> LUFactorization:
                 for j in range(k + 1, n):
                     row[j] = row[j] - f * prow[j]
             elif any(nonzero):  # a batch's points where f is 0 keep their row
-                zero, swap = [not m for m in nonzero], type(f).swap
+                zero, where = [not m for m in nonzero], type(f).where
                 for j in range(k + 1, n):
-                    row[j] = swap(zero, row[j] - f * prow[j], row[j])[0]
+                    row[j] = where(zero, row[j] - f * prow[j], row[j])
     return LUFactorization(n, lu, pivots)
 
 

@@ -90,14 +90,16 @@ def _shift(lw):
 
 
 def _factors(table: dict, rates, coord, ctx):
-    """[e^{rate_j coord}], computed once per coordinate value; for a batch of
-    coordinates, one batch per rate, gathered from each point's entry."""
+    """[e^{rate_j coord}], computed once per coordinate value and keyed by
+    its Decimal parts (re, im); for a batch of coordinates, one batch per
+    rate, gathered from each point's entry."""
     if type(coord) is ctx.batch:
         points = [_factors(table, rates, c, ctx) for c in coord.points()]
         return [ctx.batch.of(column) for column in zip(*points)]
-    found = table.get(coord)
+    key = (coord.re, coord.im)
+    found = table.get(key)
     if found is None:
-        found = table[coord] = [ctx.exp(rate * coord) for rate in rates]
+        found = table[key] = [ctx.exp(rate * coord) for rate in rates]
     return found
 
 

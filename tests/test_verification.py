@@ -1,9 +1,12 @@
+import builtins
 import cmath
 import decimal
+import hashlib
 import math
 import multiprocessing
 import os
 import random
+import struct
 import sys
 import threading
 
@@ -101,6 +104,37 @@ def _oracle_q(cfg, x, t):
     return oracles.simple_q(cfg.q_minus, zs, As, x, t)
 
 
+#: Points at which the spectra that no preset reaches are checked
+BEYOND_PRESET_POINTS = [(0.3, 0.7), (-1.2, 0.4), (2.0, -0.5)]
+
+
+@pytest.mark.parametrize("name", ["double_n2", "simple_n3"])
+def test_float_field_matches_oracle_beyond_the_presets(request, name):
+    """Two double poles and three simple poles, eigenvalue counts that no
+    preset reaches: the float field is ok and agrees with the independent
+    dps-50 oracle to 1e-12, relative."""
+    cfg = request.getfixturevalue(name)
+    orbit = derive_orbit(cfg)
+    for x, t in BEYOND_PRESET_POINTS:
+        q, flag, _ = verification.POLE_MODULES[cfg.pole_order].point_sample(orbit, x, t)
+        ref = complex(_oracle_q(cfg, x, t))
+        assert flag == "ok" and abs(q - ref) <= 1e-12 * abs(ref), (x, t)
+
+
+@pytest.mark.parametrize("name", ["double_n2", "simple_n3"])
+def test_residual_beyond_the_presets_is_truncation_only(request, name):
+    """The 40-digit stencil residual of those spectra falls 16-fold when h
+    halves, as fourth-order truncation does: the fields solve the equation."""
+    cfg = request.getfixturevalue(name)
+    ctx = _mathctx.decimal_context(verification.RESIDUAL_DPS)
+    evaluator, _ = _evaluator(cfg, "a", ctx)
+    for x, t in BEYOND_PRESET_POINTS[:2]:
+        r = [float(abs(pde_residual(evaluator, cfg, ctx.real(x), ctx.real(t), ctx.real(h),
+                                    ctx=ctx)))
+             for h in (1e-3, 5e-4)]
+        assert 15 <= r[0] / r[1] <= 17, (x, t, r)
+
+
 @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig7a"])
 def test_sweep_evaluator_matches_oracle(request, name):
     """The 40-digit route of the sweep agrees with the independent dps-50 oracle."""
@@ -130,7 +164,7 @@ def test_unscaled_weights_hold_far_out_on_the_background(request, name, x):
     w, scales = reconstruct.column_weights(
         reconstruct.weight_constants(orbit, ctx), xd, td, ctx)
     assert scales == [1] * len(w)
-    in_double = [sys.float_info.min < abs(wj) < sys.float_info.max for wj in w]
+    in_double = [sys.float_info.min < float(abs(wj)) < sys.float_info.max for wj in w]
     assert all(in_double) == (abs(x) != 1000)
     ref = _oracle_q(cfg, x, 0.4)
     with mpmath.workdps(50):
@@ -172,8 +206,9 @@ def test_sweep_exponentials_follow_the_coordinates(request, monkeypatch, name):
 
 
 #: A sweep row (its index i in t) of each config, on RESIDUAL_WINDOW at
-#: RESIDUAL_N, whose stencil points pivot in more than one order
-MIXED_PIVOT_ROW = {"fig2a": 12, "fig4a": 10, "fig7a": 10}
+#: RESIDUAL_N, whose stencil points pivot in more than one order (double_n2's
+#: 8 x 8 systems in 12)
+MIXED_PIVOT_ROW = {"fig2a": 12, "fig4a": 10, "fig7a": 10, "double_n2": 12}
 
 
 @pytest.mark.parametrize("name", sorted(MIXED_PIVOT_ROW))
@@ -196,6 +231,28 @@ def test_a_batched_row_has_the_scalar_bits_at_every_point(request, name):
     assert len(points) == 189 and len(orders) >= 2
     assert list(zip(batch.re, batch.im)) == [(q.re, q.im) for q in
                                              (evaluator(x, tp) for x, tp in points)]
+
+
+#: sha256 of the 441 nodal residuals of residual_sweep(fig7d, RESIDUAL_WINDOW),
+#: in the order the sweep takes their maximum, as little-endian doubles
+FIG7D_NODAL_SHA256 = "6aa104b637baf308d7b29dc25fad4f3e3fc539c3238ef50dab9c0c4950f409c3"
+
+
+def test_every_nodal_residual_of_fig7d_keeps_its_bits(monkeypatch):
+    """fig7d's system has a condition number near 1e37, so a change of the
+    40-digit rounding can move its nodal residuals and still keep
+    residual_max; every value the sweep takes the maximum over is pinned."""
+    taken = []
+
+    def recorded_max(values):
+        taken.append(values)
+        return builtins.max(values)
+
+    monkeypatch.setattr(verification, "max", recorded_max, raising=False)
+    r = residual_sweep(io.load_config("fig7d").cfg, verification.RESIDUAL_WINDOW)
+    (values,) = taken
+    assert len(values) == verification.RESIDUAL_N ** 2 and r == builtins.max(values)
+    assert hashlib.sha256(struct.pack("<441d", *values)).hexdigest() == FIG7D_NODAL_SHA256
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -323,7 +380,8 @@ def test_worker_failure_reaches_the_caller(fig2a, monkeypatch):
         def patched(x, t):
             # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW, asked for alone
             # or in a batch of points
-            if any(tp > 0.5 for tp in (t.points() if type(t) is ctx.batch else [t])):
+            if any(float(tp) > 0.5
+                   for tp in (t.points() if type(t) is ctx.batch else [t])):
                 raise ZeroDivisionError(f"stand-in failure in process {os.getpid()}")
             return evaluator(x, t)
 
