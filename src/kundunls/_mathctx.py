@@ -7,10 +7,10 @@ values at once, for batched grid rows, and is built on first use, once per
 process.  ``decimal_context(digits)`` carries a fixed number of significant
 decimal digits on the C-backed ``decimal`` module; the residual sweep runs in
 it, where stencil differencing would otherwise be limited by double roundoff.
-Its exponent range is decimal's widest, so it alone is ``wide_range``.  It
-alone has a ``batch`` type: the values of many points as lists of ``Decimal``
-parts, each operation a few ``map`` calls over those lists, with the scalar's
-bits.
+It alone has a ``batch`` type: the values of many points as lists of
+``Decimal`` parts, each operation a few ``map`` calls over those lists, with
+the scalar's bits.  Its exponent range is decimal's widest, so its weights
+need no column shift; ``reconstruct`` factors them wherever ``batch`` is set.
 ``mp_context(dps)`` is the same kind of context on pure-Python mpmath, several
 times slower; no command runs it.
 """
@@ -22,8 +22,7 @@ import operator
 
 
 class MathContext:
-    def __init__(self, convert, exp, log, arg, name, real=float, wide_range=False,
-                 batch=None):
+    def __init__(self, convert, exp, log, arg, name, real=float, batch=None):
         self.convert = convert  # python complex -> context scalar
         self.exp = exp
         self.log = log
@@ -31,7 +30,6 @@ class MathContext:
         self.name = name
         self.real = real  # python float -> context real scalar
         self.i = convert(1j)
-        self.wide_range = wide_range  # weights need no column shift; decimal only
         self.batch = batch  # the type of a batch of points; decimal only
 
     def __repr__(self):
@@ -70,10 +68,10 @@ def decimal_context(digits=40):
     real value (``im`` zero) prints as mpmath's does.  exp, log and arg run in
     ``mpmath.libmp`` at 20 bits beyond ``digits`` and round once on the way
     back.  The exponent range is decimal's widest, so unscaled weights stay
-    representable far out on the background (``wide_range``); past it,
-    ``decimal.Overflow``.  The context's ``batch`` type carries the values of
-    many points at once and gives each the bits it has as a scalar; an
-    operation of a scalar with a batch is the batch's."""
+    representable far out on the background; past it, ``decimal.Overflow``.
+    The context's ``batch`` type carries the values of many points at once
+    and gives each the bits it has as a scalar; an operation of a scalar with
+    a batch is the batch's."""
     # imported here, so that commands without a residual sweep do not pay for them
     import decimal
 
@@ -280,4 +278,4 @@ def decimal_context(digits=40):
     arg = through_libmp(lambda re, im: (libmp.mpf_atan2(im, re, bits),))
     return MathContext(lambda v: DecimalComplex(*parts(v)), exp, log, arg,
                        f"decimal-{digits}", real=lambda v: DecimalComplex(parts(v)[0]),
-                       wide_range=True, batch=DecimalBatch)
+                       batch=DecimalBatch)

@@ -11,9 +11,11 @@ near-singularity check and the per-point flags.
 In double precision the exponential weights are carried in log form and
 each column is rescaled by exp(-max(Re log w_j, 0)), so fields stay
 evaluable far out on the background where exp(2 i theta) overflows.  The
-scale factors cancel in the reconstruction.  A ``wide_range`` context (the
-40-digit one) needs no such device; its weights are unscaled and factored
-into x and t parts, each computed once per coordinate value.
+scale factors cancel in the reconstruction.  A context with a ``batch`` type
+(the 40-digit one) needs no such device, since its exponent range is wide;
+its weights are unscaled and factored into x and t parts, each computed once
+per coordinate value.  Its scalars take the same route, so that a batch has
+the bits of its points taken one at a time.
 
 A pole module's (x, t)-independent constants (log A_minus, lambda, k, the
 pole differences and the diagonal coefficients) are computed once per
@@ -39,8 +41,8 @@ _SINGULAR = (complex("nan+nanj"), "singular", float("inf"))
 class WeightConstants:
     """The (x, t)-independent part of the weights w_j = A_minus[xi_hat_j]
     e^{2 i theta(xi_hat_j)}, in one context: lambda(xi_hat_j), 2 k(xi_hat_j)
-    and 2 i; log A_minus[xi_hat_j] for the shifted weights, or, in a
-    ``wide_range`` context, which factors them instead, A_minus[xi_hat_j], the
+    and 2 i; log A_minus[xi_hat_j] for the shifted weights, or, in a context
+    with a ``batch`` type, which factors them instead, A_minus[xi_hat_j], the
     rates 2 i lambda_j and -4 i lambda_j k_j and the tables
     x -> [e^{2 i lambda_j x}], t -> [e^{-4 i lambda_j k_j t}]."""
 
@@ -60,7 +62,7 @@ def weight_constants(orbit: OrbitTable, ctx) -> WeightConstants:
     lam = tuple(lambda_of_z(zh, q0) for zh in orbit.xi_hat)
     two_k = tuple(2 * k_of_z(zh, q0) for zh in orbit.xi_hat)
     two_i = 2 * ctx.i
-    if not ctx.wide_range:
+    if ctx.batch is None:
         return WeightConstants(tuple(ctx.log(a) for a in orbit.A_minus_xihat), lam, two_k,
                                two_i)
     return WeightConstants((), lam, two_k, two_i, a=tuple(orbit.A_minus_xihat),
@@ -110,10 +112,11 @@ def offsets(wc: WeightConstants, x, t):
 
 def column_weights(wc: WeightConstants, x, t, ctx):
     """(w_j e^{-m_j}, e^{-m_j}) with m_j = max(Re log w_j, 0);
-    log w_j = log A_j + 2 i lambda_j (x - 2 k_j t).  The shift is a double
-    precision device: a ``wide_range`` context takes m_j = 0 and the factored
-    w_j = A_j e^{2 i lambda_j x} e^{-4 i lambda_j k_j t} instead."""
-    if ctx.wide_range:
+    log w_j = log A_j + 2 i lambda_j (x - 2 k_j t).  The shift needs one float
+    per value, so a context with a ``batch`` type, scalar or batch, takes
+    m_j = 0 and the factored w_j = A_j e^{2 i lambda_j x} e^{-4 i lambda_j k_j t}
+    instead; its exponent range keeps them representable."""
+    if ctx.batch is not None:
         ex = _factors(wc.x_factors, wc.x_rate, x, ctx)
         et = _factors(wc.t_factors, wc.t_rate, t, ctx)
         return ([aj * (exj * etj) for aj, exj, etj in zip(wc.a, ex, et)],

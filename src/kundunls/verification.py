@@ -166,11 +166,12 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
     the first stencil that fails.
 
     The t rows are spread over forked worker processes, one per CPU the
-    process may use and at most one per row (see ``_sweep_workers``).  Each
-    node's arithmetic is its own and the maximum is taken over the rows in
-    their original order, so the result has the same bits for any worker
-    count.  No worker outlives the call, and a worker's exception reaches the
-    caller as the same exception.
+    process may use and at most one per row (see ``_sweep_workers`` and
+    ``_fork_map``).  Each node's arithmetic is its own and the maximum is
+    taken over the rows in their original order, so the result has the same
+    bits for any worker count.  No worker outlives the call, and the first
+    failing row in row order raises, as it would in process, with the same
+    exception.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"residual sweep n must be an integer >= 2, got {n!r}")
@@ -196,15 +197,7 @@ def residual_sweep(cfg: SpectralConfig, window, n: int = RESIDUAL_N, h: float = 
         r = _stencil_residual(groups[0], groups[1:5], groups[5:], hh, cfg, ctx)
         return list(map(float, abs(r).re))
 
-    workers = _sweep_workers(n)
-    if workers == 1:
-        rows = [row(i) for i in range(n)]
-    else:
-        # one node here prepares the orbit's constants before the fork, so no
-        # worker repeats them
-        pde_residual(evaluator, cfg, xs[0], ts[0], hh, ctx=ctx)
-        rows = _fork_map(row, n, workers)
-    values = [v for r in rows for v in r]
+    values = [v for r in _fork_map(row, n, _sweep_workers(n)) for v in r]
     # a NaN anywhere is the maximum, so a non-finite residual fails the gate;
     # max alone would drop a NaN that is not first
     return math.nan if any(map(math.isnan, values)) else max(values)
@@ -235,13 +228,9 @@ def _sweep_workers(n_rows: int) -> int:
     return min(n_rows, len(os.sched_getaffinity(0)))
 
 
-#: The sweep's row function, set in each forked worker by ``_adopt``.
+#: The row function of the ``_fork_map`` that runs a pool, set before the
+#: fork so that its workers inherit it; None otherwise.
 _worker_row = None
-
-
-def _adopt(row) -> None:
-    global _worker_row
-    _worker_row = row
 
 
 def _run_row(i: int):
@@ -249,18 +238,26 @@ def _run_row(i: int):
 
 
 def _fork_map(row, n_rows: int, workers: int) -> list:
-    """[row(i) for i in range(n_rows)] over a pool of forked workers.  Fork
-    hands the workers ``row`` as it is in memory, closure and patched state
-    included, so only row indices and results are pickled."""
+    """[row(i) for i in range(n_rows)]: in process for one worker, else over a
+    pool of forked workers.  Fork hands the workers ``row`` as it is in
+    memory, closure and patched state included, so only row indices and
+    results are pickled.  Results, and a failure, come in row order: the
+    first row that raises, whichever worker finishes first."""
+    if workers == 1:
+        return [row(i) for i in range(n_rows)]
     import multiprocessing
 
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_adopt, initargs=(row,))
+    global _worker_row
+    _worker_row = row
     try:
-        return pool.map(_run_row, range(n_rows), chunksize=1)
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            return list(pool.imap(_run_row, range(n_rows)))
+        finally:
+            pool.terminate()
+            pool.join()
     finally:
-        pool.terminate()
-        pool.join()
+        _worker_row = None
 
 
 def split_step_evolve(q0_samples, setup: EvolutionSetup, Q0: float):

@@ -76,7 +76,7 @@ def test_arithmetic_ignores_the_ambient_context():
     assert len(expected[0].re.as_tuple().digits) == DIGITS
 
 
-def test_real_values_order_against_floats_and_print_as_mpmath():
+def test_real_values_print_as_mpmath_and_convert_to_float_and_complex():
     for value in (-5.0, -3.0, 1e-3, 0.5, 1 / 3):
         assert str(DEC.real(value)) == str(MP.real(value))
     step = DEC.real(6) * 7 / 20 - 3

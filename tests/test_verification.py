@@ -2,6 +2,7 @@ import builtins
 import cmath
 import decimal
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import random
 import struct
 import sys
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -333,12 +335,11 @@ class _InProcessPool:
 
     sizes = []
 
-    def __init__(self, processes, initializer, initargs):
+    def __init__(self, processes):
         self.sizes.append(processes)
-        initializer(*initargs)
 
-    def map(self, func, iterable, chunksize):
-        return [func(item) for item in iterable]
+    def imap(self, func, iterable):
+        return map(func, iterable)
 
     def terminate(self):
         pass
@@ -357,7 +358,6 @@ def test_sweep_starts_one_worker_per_cpu_and_row(fig2a, monkeypatch, cpus, n):
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(verification, "_worker_row", None)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: type("Fork", (), {"Pool": _InProcessPool}))
@@ -369,31 +369,83 @@ def test_sweep_starts_one_worker_per_cpu_and_row(fig2a, monkeypatch, cpus, n):
     assert _InProcessPool.sizes == [min(n, cpus)]  # the serial sweep starts no pool
 
 
-def test_worker_failure_reaches_the_caller(fig2a, monkeypatch):
-    """A row that fails in a worker is a StencilEvaluationFailure naming its
-    stencil point, and no worker outlives the sweep."""
+def _failing_at(delay):
+    """A stand-in for ``_evaluator`` and the list of the calls its field
+    takes in this process (a forked worker appends to its own copy).  Where
+    delay(x, t) is a number of seconds at a point asked for, alone or in a
+    batch of points, the field sleeps that long and raises."""
     real = verification._evaluator
+    calls = []
 
-    def failing_last_row(cfg, convention, ctx=verification._mathctx.FLOAT):
+    def stand_in(cfg, convention, ctx=verification._mathctx.FLOAT):
         evaluator, orbit = real(cfg, convention, ctx)
 
         def patched(x, t):
-            # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW, asked for alone
-            # or in a batch of points
-            if any(float(tp) > 0.5
-                   for tp in (t.points() if type(t) is ctx.batch else [t])):
+            calls.append((x, t))
+            points = zip(x.points(), t.points()) if type(x) is ctx.batch else [(x, t)]
+            delays = [d for d in itertools.starmap(delay, points) if d is not None]
+            if delays:
+                time.sleep(max(delays))
                 raise ZeroDivisionError(f"stand-in failure in process {os.getpid()}")
             return evaluator(x, t)
 
         return patched, orbit
 
-    monkeypatch.setattr(verification, "_evaluator", failing_last_row)
+    return stand_in, calls
+
+
+def test_worker_failure_reaches_the_caller(fig2a, monkeypatch):
+    """A row that fails in a worker is a StencilEvaluationFailure naming its
+    stencil point, and no worker outlives the sweep."""
+    # the row t = 1 of a 3 x 3 sweep on SMALL_WINDOW fails at once
+    stand_in, _ = _failing_at(lambda x, t: 0 if float(t) > 0.5 else None)
+    monkeypatch.setattr(verification, "_evaluator", stand_in)
     with pytest.raises(StencilEvaluationFailure,
                        match=r"stencil around \(x=-1\.0, t=1\.0, h=0\.001\d*\): "
                              r"stand-in failure in process \d+") as err:
         residual_sweep(fig2a, SMALL_WINDOW, n=3)
     if verification._sweep_workers(3) > 1:
-        assert str(os.getpid()) not in str(err.value)  # it failed in a worker
+        # it failed in a worker
+        assert not str(err.value).endswith(f"process {os.getpid()}")
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_sweep_evaluates_no_point_in_the_parent(fig2a, monkeypatch):
+    """Over two forked workers the parent calls the field at no point, not
+    even to prepare the orbit's constants, and keeps no worker row; in
+    process, the same sweep takes one batch per row."""
+    stand_in, calls = _failing_at(lambda x, t: None)
+    monkeypatch.setattr(verification, "_evaluator", stand_in)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification._sweep_workers(3) == 2
+    forked = residual_sweep(fig2a, SMALL_WINDOW, n=3)
+    assert calls == [] and verification._worker_row is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert residual_sweep(fig2a, SMALL_WINDOW, n=3) == forked
+    assert len(calls) == 3
+
+
+def _late_first_row(x, t):
+    """Row t = -1 of a 3 x 3 sweep on SMALL_WINDOW fails after 1 s, at its node
+    x = 1 only; row t = 1 fails at once."""
+    if float(t) > 0.5:
+        return 0
+    return 1 if (x, t) == (1, -1) else None
+
+
+def test_forked_sweep_reports_the_first_failing_row(fig2a, monkeypatch):
+    """Two forked workers report the stencil of the first failing row, as one
+    worker does, though a later row fails sooner; the parent evaluates no
+    point, and neither a worker nor the worker row outlives the sweep."""
+    stand_in, calls = _failing_at(_late_first_row)
+    monkeypatch.setattr(verification, "_evaluator", stand_in)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification._sweep_workers(3) == 2
+    with pytest.raises(StencilEvaluationFailure,
+                       match=r"stencil around \(x=1\.0, t=-1\.0, h=0\.001\d*\): "
+                             r"stand-in failure in process \d+"):
+        residual_sweep(fig2a, SMALL_WINDOW, n=3)
+    assert calls == [] and verification._worker_row is None
     assert multiprocessing.active_children() == []
 
 
