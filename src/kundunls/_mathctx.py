@@ -220,10 +220,6 @@ def decimal_context(digits=40):
         def points(self):
             return list(map(DecimalComplex, self.re, self.im))
 
-        def nonzero(self):
-            """value != 0 at every point."""
-            return [bool(a or b) for a, b in zip(self.re, self.im)]
-
         def magnitudes(self):
             """abs(complex(value)) at every point: the magnitude in double."""
             return list(map(abs, map(complex, map(float, self.re), map(float, self.im))))

@@ -111,14 +111,10 @@ def lu_factor(rows) -> LUFactorization:
             row = lu[i]
             f = row[k] / pval
             row[k] = f
-            nonzero = f.nonzero() if batch else [f != 0]
-            if all(nonzero):
-                for j in range(k + 1, n):
-                    row[j] = row[j] - f * prow[j]
-            elif any(nonzero):  # a batch's points where f is 0 keep their row
-                zero, where = [not m for m in nonzero], type(f).where
-                for j in range(k + 1, n):
-                    row[j] = where(zero, row[j] - f * prow[j], row[j])
+            # also where f is 0: row[j] - 0 * prow[j] is row[j], but for the
+            # sign of a zero, wherever prow is finite
+            for j in range(k + 1, n):
+                row[j] = row[j] - f * prow[j]
     return LUFactorization(n, lu, pivots)
 
 

@@ -548,6 +548,9 @@ def _edited(raw, path, value):
     (("verification",), {"evolution": {"M": 2 ** 63}}, "BadPlan"),
     (("verification",), {"evolution": {"M": 256, "dt": 1e-4, "t0": 0.0, "t1": 1e-10}},
      "BadPlan"),
+    (("verification",), {"evolution": {"M": 1}}, "BadPlan"),
+    (("verification",), {"evolution": {"L": 0}}, "BadPlan"),
+    (("verification",), {"evolution": {"dt": -1e-4}}, "BadPlan"),
     (("eigenvalues", 0, "z"), [-0.8756538991142832, 0.48293917729456637],
      "ContourEigenvalue"),
     (("q_minus",), [True, False], "BadComplex"),
@@ -565,6 +568,7 @@ def _edited(raw, path, value):
         "misspelt-verification", "unknown-grid-key", "unknown-eigenvalue-key",
         "plan-boundary_L", "plan-gates", "plan-h", "plan-residual_n",
         "plan-null-evolution", "plan-M-2**62", "plan-M-2**63", "plan-under-half-a-step",
+        "plan-M-1", "plan-zero-L", "plan-negative-dt",
         "near-circle-z", "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
     raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
@@ -665,6 +669,18 @@ def test_check_and_evolve_share_the_evolution_gate(tmp_path, monkeypatch):
     assert json.loads(check.output)["evolution_linf_error"] == err
     assert json.loads(check.output)["gates"]["evolution"] == 1e-5 < err < 1.0
     assert (check.exit_code, evolve.exit_code) == (1, 1)
+
+
+def test_evolve_passes_a_window_the_field_does_not_fit(tmp_path):
+    """fig2a has not decayed to its background at x = +-3, so that periodic
+    window does not apply: evolve says why and exits 0."""
+    setup = {"L": 3, "M": 64, "dt": 0.01, "t0": 0, "t1": 0.1}
+    cfg = _small_fig2a(tmp_path, verification={"evolution": setup})
+    result = CliRunner().invoke(main, ["evolve", str(cfg)])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "config": "fig2a", "setup": setup,
+        "not_applicable": "PeriodicIncompatible: window mismatch 3.848e-02 at t0"}
 
 
 def _singular_row(orbit, xs, t):

@@ -79,8 +79,9 @@ def test_permutation_sign_in_det():
 def test_a_batch_pivots_each_point_on_its_own():
     """Twelve 40-digit matrices factorized as one batch pivot in more than one
     order, and each point gets the pivots, factors and solution of its own
-    scalar factorization, also the point whose multiplier in row 1 is 0; a
-    batch permuted differently by point has no one determinant sign."""
+    scalar factorization, also the point whose multiplier in row 1 is 0 and
+    whose row is updated like every other; a batch permuted differently by
+    point has no one determinant sign."""
     ctx = decimal_context(40)
     rng = random.Random(11)
     n = 4

@@ -6,7 +6,7 @@ import warnings
 import numpy
 import pytest
 
-from kundunls import _mathctx, double_pole, fields, io, linalg, simple_pole
+from kundunls import _mathctx, double_pole, fields, io, linalg, reconstruct, simple_pole
 from kundunls.errors import NearSingularWarning, SingularMatrix
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 
@@ -98,6 +98,27 @@ def test_sample_row_flags_unrepresentable_systems_singular(order, z):
             assert [_scalar_sample(module, orbit, x, t)[1] for x in xs] == ["singular"] * 3
         grid = fields.evaluate_grid(cfg, orbit, xs, [-0.5, 0.0, 0.5])
     assert grid.flags == [["singular"] * 3] * 3
+
+
+def _singular_at_one(orbit, x, t, ctx):
+    """A stand-in for a pole module's build: a 2 x 2 system that is exactly
+    singular at x = 1."""
+    return [[x, 1], [1, 1]], [1, 0], [1, 1]
+
+
+def test_an_exactly_singular_system_is_flagged_alone(fig2a):
+    """Where one matrix of a row is exactly singular, numpy cannot invert the
+    row's stack: that point is flagged singular, every other gets the bits of
+    its own one-point row, and evaluate_q names the point."""
+    orbit = derive_orbit(fig2a)
+    xs = [-2.0, 0.5, 1.0, 3.0]
+    row = reconstruct.sample_row(_singular_at_one, orbit, xs, 0.25)
+    assert repr(row[2]) == repr((complex("nan+nanj"), "singular", float("inf")))
+    assert [repr(s) for s in row] == [
+        repr(reconstruct.sample_row(_singular_at_one, orbit, [x], 0.25)[0]) for x in xs]
+    assert [flag for _, flag, _ in row] == ["ok", "ok", "singular", "ok"]
+    with pytest.raises(SingularMatrix, match=r"^singular system at \(x=1\.0, t=0\.25\)"):
+        reconstruct.evaluate_q(_singular_at_one, orbit, 1.0, 0.25)
 
 
 def test_grid_flags_tiny_epsilon_singular_for_both_orders(fig2a, fig7a):

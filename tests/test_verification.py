@@ -235,15 +235,27 @@ def test_a_batched_row_has_the_scalar_bits_at_every_point(request, name):
                                              (evaluator(x, tp) for x, tp in points)]
 
 
-#: sha256 of the 441 nodal residuals of residual_sweep(fig7d, RESIDUAL_WINDOW),
-#: in the order the sweep takes their maximum, as little-endian doubles
-FIG7D_NODAL_SHA256 = "6aa104b637baf308d7b29dc25fad4f3e3fc539c3238ef50dab9c0c4950f409c3"
+#: (n, sha256) of the n^2 nodal residuals of residual_sweep(cfg,
+#: RESIDUAL_WINDOW, n), in the order the sweep takes their maximum, as
+#: little-endian doubles: the fig7d preset at RESIDUAL_N, and at n = 7 the
+#: 8 x 8 and 6 x 6 systems of the spectra that no preset reaches
+NODAL_SHA256 = {
+    "fig7d": (verification.RESIDUAL_N,
+              "6aa104b637baf308d7b29dc25fad4f3e3fc539c3238ef50dab9c0c4950f409c3"),
+    "double_n2": (7, "658ea8a2b9f5c26ffa6fbd129bf0c30e0295cd5aff46e45d75a08304c47452ca"),
+    "simple_n3": (7, "b78ac75a4b31fdcb373d64170be7603d3123e069170fae0068da8ab2a05de841"),
+}
 
 
-def test_every_nodal_residual_of_fig7d_keeps_its_bits(monkeypatch):
+@pytest.mark.parametrize("name", sorted(NODAL_SHA256))
+def test_every_nodal_residual_keeps_its_bits(monkeypatch, request, name):
     """fig7d's system has a condition number near 1e37, so a change of the
     40-digit rounding can move its nodal residuals and still keep
-    residual_max; every value the sweep takes the maximum over is pinned."""
+    residual_max; the double_n2 and simple_n3 systems take the LU through
+    more elimination steps than any preset.  Every value the sweep takes the
+    maximum over is pinned."""
+    cfg = io.load_config(name).cfg if name == "fig7d" else request.getfixturevalue(name)
+    n, digest = NODAL_SHA256[name]
     taken = []
 
     def recorded_max(values):
@@ -251,10 +263,10 @@ def test_every_nodal_residual_of_fig7d_keeps_its_bits(monkeypatch):
         return builtins.max(values)
 
     monkeypatch.setattr(verification, "max", recorded_max, raising=False)
-    r = residual_sweep(io.load_config("fig7d").cfg, verification.RESIDUAL_WINDOW)
+    r = residual_sweep(cfg, verification.RESIDUAL_WINDOW, n=n)
     (values,) = taken
-    assert len(values) == verification.RESIDUAL_N ** 2 and r == builtins.max(values)
-    assert hashlib.sha256(struct.pack("<441d", *values)).hexdigest() == FIG7D_NODAL_SHA256
+    assert len(values) == n ** 2 and r == builtins.max(values)
+    assert hashlib.sha256(struct.pack(f"<{n * n}d", *values)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
