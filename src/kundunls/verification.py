@@ -242,20 +242,21 @@ def _fork_map(row, n_rows: int, workers: int) -> list:
     pool of forked workers.  Fork hands the workers ``row`` as it is in
     memory, closure and patched state included, so only row indices and
     results are pickled.  Results, and a failure, come in row order: the
-    first row that raises, whichever worker finishes first."""
+    first row that raises, whichever worker finishes first.  A worker that
+    dies, say by a signal, ends the map with StencilEvaluationFailure."""
     if workers == 1:
         return [row(i) for i in range(n_rows)]
+    import concurrent.futures
     import multiprocessing
 
     global _worker_row
     _worker_row = row
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            return list(pool.imap(_run_row, range(n_rows)))
-        finally:
-            pool.terminate()
-            pool.join()
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_row, range(n_rows)))
+    except concurrent.futures.BrokenExecutor as exc:
+        raise StencilEvaluationFailure(f"a residual sweep worker died: {exc}") from exc
     finally:
         _worker_row = None
 

@@ -1,16 +1,17 @@
-"""Compare ``kundunls check`` on every bundled preset with the pinned table.
+"""Compare ``kundunls check`` on every bundled preset, and on the config
+files in ``configs/`` next to this script, with the pinned table.
 
-The table, ``verdicts.json`` next to this script, holds each preset's exit
+The table, ``verdicts.json`` next to this script, holds each config's exit
 code, the gates its report names in ``failed_gates`` (``residual``,
 ``boundary``, ``theta``, ``evolution``) and its ``residual_max``, or, for a
 config that is rejected, the code of its first diagnostic.  ``residual_max``
 must match to the last bit, so a change to the sweep's arithmetic that moves
-any preset's residual shows up here.  A verdict can then change only in a
+any config's residual shows up here.  A verdict can then change only in a
 diff of that table.
 
     python tests/check_verdicts.py
 
-runs ``python -m kundunls.cli check`` on each preset in turn (about three
+runs ``python -m kundunls.cli check`` on each config in turn (about three
 minutes on two CPUs), prints the observed table and exits 1 on any
 difference from the pinned one.  It is a CI job of its own, not part of
 the Tier-1 tests.
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 TABLE = Path(__file__).with_name("verdicts.json")
+CONFIGS = Path(__file__).with_name("configs")
 
 
 def verdict(name: str) -> dict:
@@ -37,11 +39,13 @@ def verdict(name: str) -> dict:
 
 
 def main() -> int:
-    names = subprocess.run([sys.executable, "-m", "kundunls.cli", "presets"],
+    specs = subprocess.run([sys.executable, "-m", "kundunls.cli", "presets"],
                            capture_output=True, text=True, check=True).stdout.split()
+    specs += sorted(map(str, CONFIGS.glob("*.json")))
     observed = {}
-    for name in names:
-        observed[name] = verdict(name)
+    for spec in specs:
+        name = Path(spec).stem
+        observed[name] = verdict(spec)
         print(name, json.dumps(observed[name]), flush=True)
     pinned = json.loads(TABLE.read_text(encoding="utf-8"))
     if observed == pinned:

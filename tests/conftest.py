@@ -1,29 +1,29 @@
+from pathlib import Path
+
 import pytest
 
-from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig
+from kundunls import io
+from kundunls.spectrum import PoleOrder, SpectralConfig
+
+#: Spectra that no preset reaches, as config files with their grid and the
+#: evolution check off; CI's console-script step and ``check_verdicts.py``
+#: run ``check`` on them too.
+CONFIGS = Path(__file__).with_name("configs")
 
 
 @pytest.fixture
 def fig2a():
-    return SpectralConfig(q_minus=1 + 0j, epsilon=0.5, gamma0=0.0,
-                          pole_order=PoleOrder.SIMPLE,
-                          eigenvalues=(EigenEntry(z=1.5j, A_plus=1 + 0j),))
+    return io.load_config("fig2a").cfg
 
 
 @pytest.fixture
 def fig4a():
-    return SpectralConfig(q_minus=1 + 0j, epsilon=0.5, gamma0=0.0,
-                          pole_order=PoleOrder.SIMPLE,
-                          eigenvalues=(EigenEntry(z=0.2 + 2j, A_plus=1 + 0j),
-                                       EigenEntry(z=1 + 1j, A_plus=1 + 0j)))
+    return io.load_config("fig4a").cfg
 
 
 @pytest.fixture
 def fig7a():
-    return SpectralConfig(q_minus=1 + 0j, epsilon=0.5, gamma0=0.0,
-                          pole_order=PoleOrder.DOUBLE,
-                          eigenvalues=(EigenEntry(z=1.5j, A_plus=1 + 0j,
-                                                  B_plus=1 + 0j),))
+    return io.load_config("fig7a").cfg
 
 
 @pytest.fixture
@@ -35,18 +35,10 @@ def background_only():
 @pytest.fixture
 def double_n2():
     """Two double poles: no preset holds a double pole with N > 1."""
-    return SpectralConfig(q_minus=1 + 0j, epsilon=0.5, gamma0=0.0,
-                          pole_order=PoleOrder.DOUBLE,
-                          eigenvalues=(EigenEntry(z=1.5j, A_plus=1 + 0j, B_plus=1 + 0j),
-                                       EigenEntry(z=0.6 + 1.8j, A_plus=0.5 - 0.3j,
-                                                  B_plus=0.2j)))
+    return io.load_config(CONFIGS / "double_n2.json").cfg
 
 
 @pytest.fixture
 def simple_n3():
     """Three simple poles: no preset holds more than two."""
-    return SpectralConfig(q_minus=1 + 0j, epsilon=0.5, gamma0=0.0,
-                          pole_order=PoleOrder.SIMPLE,
-                          eigenvalues=(EigenEntry(z=1.5j, A_plus=1 + 0j),
-                                       EigenEntry(z=0.2 + 2j, A_plus=1 + 0j),
-                                       EigenEntry(z=1 + 1j, A_plus=0.7 - 0.2j)))
+    return io.load_config(CONFIGS / "simple_n3.json").cfg

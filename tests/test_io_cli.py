@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -27,6 +28,13 @@ from kundunls.errors import (ConfigParseError, ConfigValidationError, KunduNLSEr
 from kundunls.fields import FieldGrid, config_digest, evaluate_grid, linspace
 from kundunls.spectrum import EigenEntry, PoleOrder, SpectralConfig, derive_orbit
 from kundunls.verification import EvolutionSetup
+
+
+def _fig2a_raw(nx=5, nt=3):
+    """The fig2a preset as a dict, on an nx x nt grid."""
+    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
+    raw["grid"].update(nx=nx, nt=nt)
+    return raw
 
 
 def one_point_grid():
@@ -422,10 +430,8 @@ def test_construct_near_double_range_flags_infinite_modulus(tmp_path, epsilon, n
     """A |u| range near double range scales into the PGM without overflow,
     and a finite u whose |u| overflows writes abs_u inf, flagged singular,
     with pixel 128."""
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    raw["grid"].update(nx=nx, nt=nt)
     cfg = tmp_path / "tiny-epsilon.json"
-    cfg.write_text(json.dumps(dict(raw, epsilon=epsilon)))
+    cfg.write_text(json.dumps(dict(_fig2a_raw(nx, nt), epsilon=epsilon)))
     result = CliRunner().invoke(main, ["construct", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert result.exception is None
@@ -457,6 +463,32 @@ def test_check_verdict_is_the_gates_alone():
     assert all(e > report["gates"]["boundary"] for e in report["boundary_errors"])
     assert report["evolution_linf_error"] is None
     assert "PeriodicIncompatible" in report["evolution_reason"]
+
+
+def test_check_fails_a_rotated_q_plus_by_the_theta_gate(tmp_path, monkeypatch):
+    """The float orbit that verify derives for its audits, derive_orbit(cfg)
+    with no convention, gets q_plus rotated by 0.3 rad; the fields that the
+    residual and boundary gates evaluate keep theirs.  The theta condition
+    alone fails, its message is the report's one warning, and check exits 1."""
+    rotated = []
+
+    def rotating(cfg, *args, **kwargs):
+        orbit = derive_orbit(cfg, *args, **kwargs)
+        if args or kwargs:
+            return orbit
+        rotated.append(dataclasses.replace(orbit, q_plus=orbit.q_plus * cmath.exp(0.3j)))
+        return rotated[-1]
+
+    monkeypatch.setattr(verification, "derive_orbit", rotating)
+    monkeypatch.setattr(verification, "RESIDUAL_N", 2)
+    cfg = _small_fig2a(tmp_path, verification={"evolution": False})
+    result = CliRunner().invoke(main, ["check", str(cfg)])
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert report["theta_ok"] is False
+    assert report["failed_gates"] == ["theta"]
+    theta = scattering.check_theta_condition(rotated[0])
+    assert not theta.ok and report["warnings"] == [theta.message]
 
 
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
@@ -571,10 +603,8 @@ def _edited(raw, path, value):
         "plan-M-1", "plan-zero-L", "plan-negative-dt",
         "near-circle-z", "bool-q_minus", "bool-z"])
 def test_cli_rejects_malformed_config_with_diagnostic(tmp_path, path, value, code):
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    raw["grid"].update(nx=5, nt=3)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_edited(raw, path, value)))
+    bad.write_text(json.dumps(_edited(_fig2a_raw(), path, value)))
     for args in (["construct", str(bad), "--out", str(tmp_path / "out")],
                  ["check", str(bad)], ["evolve", str(bad)]):
         result = CliRunner().invoke(main, args)
@@ -593,9 +623,8 @@ def test_int_beyond_double_range_is_a_nonfinite_value(tmp_path, source, path):
     names a NaN, not as a BadNumber and not by an OverflowError."""
     with pytest.raises(ConfigValidationError) as err:
         if source == "file":
-            raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
             bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(_edited(raw, path, 10 ** 400)))
+            bad.write_text(json.dumps(_edited(_fig2a_raw(), path, 10 ** 400)))
             io.load_config(bad)
         else:
             SpectralConfig(**{"q_minus": 1 + 0j, "epsilon": 0.5, "gamma0": 0.0,
@@ -605,10 +634,8 @@ def test_int_beyond_double_range_is_a_nonfinite_value(tmp_path, source, path):
 
 def test_numbers_are_stored_as_float_and_complex(tmp_path, fig2a):
     """Integers in a config or in Python hash as the floats they stand for."""
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    raw.update(gamma0=0, q_minus=[1, 0])
     path = tmp_path / "ints.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(dict(_fig2a_raw(), gamma0=0, q_minus=[1, 0])))
     built = SpectralConfig(1, 0.5, 0, PoleOrder.SIMPLE, [EigenEntry(1.5j, 1)])
     for cfg in (io.load_config(path).cfg, built):
         assert type(cfg.gamma0) is float and type(cfg.q_minus) is complex
@@ -651,10 +678,8 @@ def test_cli_unwritable_output_exits_1(tmp_path):
 
 
 def _small_fig2a(tmp_path, **top):
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    raw["grid"].update(nx=5, nt=3)
     path = tmp_path / "small.json"
-    path.write_text(json.dumps(dict(raw, **top)))
+    path.write_text(json.dumps(dict(_fig2a_raw(), **top)))
     return path
 
 
@@ -737,8 +762,7 @@ def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, command, module, name,
 
 
 def test_config_without_plan_reads_the_default_plan(tmp_path):
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    assert "verification" not in raw
+    assert "verification" not in _fig2a_raw()
     assert io.load_config(_small_fig2a(tmp_path)).evolution == EvolutionSetup()
 
 
@@ -749,10 +773,8 @@ def test_threads_start_no_worker_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     monkeypatch.setattr(os, "fork", refuse)
-    raw = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-    raw["grid"].update(nx=7, nt=5)
     cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_text(json.dumps(_fig2a_raw(7, 5)))
     outputs = []
     for flag, env in ((["--threads", "1"], None), (["--threads", "64"], None),
                       ([], "64")):
@@ -775,9 +797,7 @@ def _key_paths(obj, prefix=()):
         yield from _key_paths(value, prefix + (key,))
 
 
-SMALL_FIG2A = json.loads(io.preset_dir().joinpath("fig2a.json").read_text())
-SMALL_FIG2A["grid"].update(nx=5, nt=3)
-SMALL_FIG2A.update(verification={"evolution": {"M": 256, "dt": 0.01}})
+SMALL_FIG2A = dict(_fig2a_raw(), verification={"evolution": {"M": 256, "dt": 0.01}})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)

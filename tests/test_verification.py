@@ -1,5 +1,6 @@
 import builtins
 import cmath
+import concurrent.futures
 import decimal
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import struct
 import sys
 import threading
@@ -343,21 +345,22 @@ def test_forked_sweep_has_the_serial_bits(request, monkeypatch, name):
 
 
 class _InProcessPool:
-    """Stands in for a process pool: records its size and maps in process."""
+    """Stands in for a process pool executor: records its size and maps in
+    process."""
 
     sizes = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
 
-    def imap(self, func, iterable):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, func, iterable):
         return map(func, iterable)
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
 
 
 @pytest.mark.parametrize("cpus, n", [(64, 3), (4, 5)])
@@ -371,8 +374,7 @@ def test_sweep_starts_one_worker_per_cpu_and_row(fig2a, monkeypatch, cpus, n):
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: type("Fork", (), {"Pool": _InProcessPool}))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     fanned = residual_sweep(fig2a, SMALL_WINDOW, n=n)
     assert _InProcessPool.sizes == [min(n, cpus)]
     assert verification._sweep_workers(21) == min(21, cpus)
@@ -381,13 +383,15 @@ def test_sweep_starts_one_worker_per_cpu_and_row(fig2a, monkeypatch, cpus, n):
     assert _InProcessPool.sizes == [min(n, cpus)]  # the serial sweep starts no pool
 
 
-def _failing_at(delay):
+def _failing_at(delay, die=False):
     """A stand-in for ``_evaluator`` and the list of the calls its field
     takes in this process (a forked worker appends to its own copy).  Where
     delay(x, t) is a number of seconds at a point asked for, alone or in a
-    batch of points, the field sleeps that long and raises."""
+    batch of points, the field sleeps that long and raises, or with ``die``
+    kills the worker it runs in (in this process it raises all the same)."""
     real = verification._evaluator
     calls = []
+    parent = os.getpid()
 
     def stand_in(cfg, convention, ctx=verification._mathctx.FLOAT):
         evaluator, orbit = real(cfg, convention, ctx)
@@ -398,6 +402,8 @@ def _failing_at(delay):
             delays = [d for d in itertools.starmap(delay, points) if d is not None]
             if delays:
                 time.sleep(max(delays))
+                if die and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
                 raise ZeroDivisionError(f"stand-in failure in process {os.getpid()}")
             return evaluator(x, t)
 
@@ -459,6 +465,48 @@ def test_forked_sweep_reports_the_first_failing_row(fig2a, monkeypatch):
         residual_sweep(fig2a, SMALL_WINDOW, n=3)
     assert calls == [] and verification._worker_row is None
     assert multiprocessing.active_children() == []
+
+
+def _hang_up(signum, frame):
+    raise TimeoutError("the sweep still waits for a row of a dead worker")
+
+
+def test_dead_worker_ends_the_sweep(fig2a, monkeypatch):
+    """A worker killed while it evaluates its row ends the sweep with the
+    package's StencilEvaluationFailure, so ``check`` prints ``error: ...``
+    and exits 1, and no worker outlives it; the alarm fails a sweep that
+    waits for the dead worker's row instead of hanging."""
+    stand_in, calls = _failing_at(lambda x, t: 0 if float(t) > 0.5 else None, die=True)
+    monkeypatch.setattr(verification, "_evaluator", stand_in)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification._sweep_workers(3) == 2
+    previous = signal.signal(signal.SIGALRM, _hang_up)
+    signal.alarm(20)
+    try:
+        with pytest.raises(StencilEvaluationFailure, match="sweep worker died"):
+            residual_sweep(fig2a, SMALL_WINDOW, n=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert calls == [] and verification._worker_row is None
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_forks_every_worker_before_a_thread_starts(fig2a, monkeypatch):
+    """The pool forks all its workers while this process runs one thread, so
+    none can inherit a lock that another thread holds: CPython forks them
+    before it starts the pool's manager thread (gh-90622)."""
+    fork, threads = os.fork, []
+
+    def counting_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification._sweep_workers(3) == 2
+    residual_sweep(fig2a, SMALL_WINDOW, n=3)
+    assert threads == [1, 1]
 
 
 def _sweep_in_daemon(cfg, results):
